@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatchError,
     IllFormedActionError,
     InvalidArgumentError,
+    InvariantViolationError,
     InvalidWeightError,
     NoSuchContractionError,
     PolynomialSyntaxError,

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import mod
 
 from .errors import IllFormedActionError, InvalidArgumentError, ZeroPolynomialError
 from .monomials import Monomial, Polynomial
@@ -156,26 +158,32 @@ def reid_tai_ages(q: CyclicQuotientType) -> tuple[Fraction, ...]:
 def is_terminal(q: CyclicQuotientType) -> bool:
     """Reid-Tai criterion: terminal iff every age is strictly above 1.
 
-    The trivial quotient (order 1) is smooth, hence terminal.  Twist data
-    sharing a factor with the order does not describe a faithful enough
-    action for the criterion and is rejected.
+    The trivial quotient (order 1) is smooth, hence terminal.  Otherwise
+    the action must be well formed: for every coordinate i the order and
+    the twists off coordinate i must be coprime, or some nontrivial element
+    fixes a hyperplane and the criterion does not apply.  Ages are compared
+    in integers, sum_i (j * twist_i mod order) > order, stopping at the
+    first element j that fails.
     """
-    if q.order == 1:
+    r = q.order
+    if r == 1:
         return True
-    if math.gcd(q.order, *q.twists) != 1:
-        raise IllFormedActionError(
-            f"gcd(order, twists) > 1 for order {q.order}, twists {q.twists}"
-        )
-    return all(age > 1 for age in reid_tai_ages(q))
+    twists = q.twists
+    for i in range(len(twists)):
+        if math.gcd(r, *twists[:i], *twists[i + 1 :]) != 1:
+            raise IllFormedActionError(
+                f"order {r} shares a factor with the twists off coordinate x{i + 1}, "
+                f"twists {twists}"
+            )
+    # Row i lazily lists j * twist_i mod r for j = 1..r-1 (a zero twist adds
+    # nothing); summing the rows column by column gives r times each age.
+    rows = [map(mod, range(b, b * r, b), repeat(r)) for b in twists if b]
+    return all(map(r.__lt__, map(sum, zip(*rows))))
 
 
 def is_terminal_blowup(w: Weight) -> bool:
-    """True iff every nontrivial chart quotient passes the Reid-Tai test."""
-    return all(
-        is_terminal(chart.quotient)
-        for chart in charts(w).charts
-        if chart.quotient.order >= 2
-    )
+    """True iff every chart quotient passes the Reid-Tai test."""
+    return all(is_terminal(chart.quotient) for chart in charts(w).charts)
 
 
 def substitute_through_chart(chart: ChartDescription, m: Monomial) -> Monomial:

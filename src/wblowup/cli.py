@@ -23,7 +23,6 @@ from .charts import (
     CyclicQuotientType,
     charts,
     is_terminal,
-    is_terminal_blowup,
     pushforward_membership,
     reid_tai_ages,
 )
@@ -176,15 +175,11 @@ def _cmd_terminal(args: argparse.Namespace) -> tuple[dict, bool]:
     if args.weight is None:
         raise InvalidArgumentError("pass either --r with --twists, or --weight")
     w, inputs = _weight_inputs(args)
-    verdict = is_terminal_blowup(w)
     chart_docs = [
-        {
-            "index": c.index,
-            "order": c.quotient.order,
-            "terminal": c.quotient.order < 2 or is_terminal(c.quotient),
-        }
+        {"index": c.index, "order": c.quotient.order, "terminal": is_terminal(c.quotient)}
         for c in charts(w).charts
     ]
+    verdict = all(c["terminal"] for c in chart_docs)
     result = {"mode": "blowup", "terminal": verdict, "charts": chart_docs}
     return _document("terminal", inputs, result), not verdict
 

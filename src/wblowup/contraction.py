@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charts import BlowupAtlas, charts, discrepancy, is_terminal_blowup
-from .errors import InvalidArgumentError, NoSuchContractionError
+from .charts import BlowupAtlas, charts, discrepancy, is_terminal, is_terminal_blowup
+from .errors import InvalidArgumentError, InvariantViolationError, NoSuchContractionError
 from .weights import Weight
 
 __all__ = [
@@ -72,7 +72,8 @@ def contraction_profile(n: int, r: int, b: int) -> ContractionProfile:
     Requires n >= 2, r >= 0, b >= 1 and r + 2 <= n (the center must fit in
     the ambient space).  r = 0 degenerates to the ordinary smooth blow-up
     weight (1, 1, 0, ..., 0).  Terminality of the blow-up is computed from
-    the charts, not assumed, and then asserted.
+    the charts, not assumed, and a non-terminal verdict raises
+    InvariantViolationError.
     """
     if n < 2:
         raise InvalidArgumentError(f"ambient dimension must be at least 2, got {n}")
@@ -86,8 +87,11 @@ def contraction_profile(n: int, r: int, b: int) -> ContractionProfile:
         )
     weight = Weight((1, 1) + (b,) * r + (0,) * (n - r - 2))
     atlas = charts(weight)
-    terminal = is_terminal_blowup(weight)
-    assert terminal, "weighted blow-up of this family must be terminal"
+    terminal = all(is_terminal(chart.quotient) for chart in atlas.charts)
+    if not terminal:
+        raise InvariantViolationError(
+            f"weighted blow-up with weight {weight.entries} of this family is not terminal"
+        )
     return ContractionProfile(
         n=n,
         r=r,

@@ -14,6 +14,7 @@ __all__ = [
     "RadicalNotPrimeError",
     "IllFormedActionError",
     "NoSuchContractionError",
+    "InvariantViolationError",
     "PolynomialSyntaxError",
 ]
 
@@ -55,7 +56,12 @@ class RadicalNotPrimeError(WblowupError):
 
 
 class IllFormedActionError(WblowupError):
-    """Cyclic group data with gcd(order, twists) > 1, so the action is not faithful in codimension needed."""
+    """Cyclic quotient data that is not well formed.
+
+    Some coordinate i has gcd(order, twists off coordinate i) > 1, so a
+    nontrivial group element fixes the hyperplane x_i = 0 (or the whole
+    space) and the Reid-Tai criterion does not apply.
+    """
 
     code = "ILL_FORMED_ACTION"
 
@@ -64,6 +70,16 @@ class NoSuchContractionError(WblowupError):
     """Requested contraction parameters fall outside the modeled family."""
 
     code = "NO_SUCH_CONTRACTION"
+
+
+class InvariantViolationError(WblowupError):
+    """A computed result broke an identity the mathematics guarantees.
+
+    Raised by internal consistency checks; it signals a defect in the
+    library, not bad input.
+    """
+
+    code = "INVARIANT_VIOLATION"
 
 
 class PolynomialSyntaxError(WblowupError):

@@ -152,12 +152,6 @@ class Polynomial:
     def monomials(self) -> tuple[Monomial, ...]:
         return tuple(m for m, _ in self.terms)
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        for mono, c in self.terms:
-            if mono == m:
-                return c
-        return Fraction(0)
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented

@@ -185,10 +185,6 @@ def format_monomial(m: Monomial) -> str:
     return "*".join(parts)
 
 
-def _format_coefficient(c: Fraction) -> str:
-    return str(c)
-
-
 def format_polynomial(f: Polynomial) -> str:
     """Inverse of parse_polynomial on canonical forms; zero prints as "0"."""
     if f.is_zero():
@@ -198,11 +194,11 @@ def format_polynomial(f: Polynomial) -> str:
         magnitude = abs(c)
         body = format_monomial(m)
         if m.is_one():
-            rendered = _format_coefficient(magnitude)
+            rendered = str(magnitude)
         elif magnitude == 1:
             rendered = body
         else:
-            rendered = f"{_format_coefficient(magnitude)}*{body}"
+            rendered = f"{magnitude}*{body}"
         if position == 0:
             pieces.append(f"-{rendered}" if c < 0 else rendered)
         else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidArgumentError, RadicalNotPrimeError
+from .errors import InvalidArgumentError, InvariantViolationError, RadicalNotPrimeError
 from .monomials import (
     EqualityVerdict,
     Monomial,
@@ -93,14 +93,17 @@ def symbolic_power(primary: PrimaryMonomialIdeal, t: int) -> MonomialIdeal:
 def symbolic_equals_ordinary(primary: PrimaryMonomialIdeal, t: int) -> EqualityVerdict:
     """Compare symbolic and ordinary t-th powers.
 
-    The ordinary power is always contained in the symbolic power (asserted);
-    on NOT_EQUAL the verdict carries a generator of the symbolic power that
-    the ordinary power misses.
+    The ordinary power is always contained in the symbolic power, and this
+    is checked (InvariantViolationError otherwise); on NOT_EQUAL the verdict
+    carries a generator of the symbolic power that the ordinary power misses.
     """
     ordinary = ideal_power(primary.ideal, t)
     sym = symbolic_power(primary, t)
     for g in ordinary.generators:
-        assert contains_monomial(sym, g), "ordinary power escaped the symbolic power"
+        if not contains_monomial(sym, g):
+            raise InvariantViolationError(
+                f"ordinary power generator {g.exponents} escaped the symbolic power"
+            )
     for g in sym.generators:
         if not contains_monomial(ordinary, g):
             return EqualityVerdict(False, g)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le, sub
 from typing import Optional
 
 from .errors import InvalidArgumentError, InvalidWeightError, ZeroPolynomialError
@@ -24,9 +25,7 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     Polynomial,
-    contains_monomial,
     grlex_key,
-    ideal_power,
     ideal_product,
     ideals_equal,
     minimalize,
@@ -186,22 +185,63 @@ def weighted_ideal_gens(w: Weight, d: int) -> MonomialIdeal:
 def power_equality(w: Weight, L: int, d: int) -> EqualityVerdict:
     """Compare the d-th power of the threshold-L ideal with the threshold-d*L ideal.
 
-    The inclusion power <= scaled-threshold always holds and is asserted;
-    the verdict reports whether the reverse inclusion holds too, and on
-    NOT_EQUAL carries a generator of the scaled-threshold ideal that the
-    power misses.
+    The inclusion power <= scaled-threshold holds by construction: a product
+    of d monomials of weight >= L has weight >= d*L.  The reverse inclusion
+    is decided generator by generator without forming the power: a monomial
+    e lies in the t-th power when t = 1 and its weight is >= L, or when
+    t > 1 and some minimal generator h of the threshold-L ideal divides e
+    with e / h in the (t-1)-th power.  Branches whose weight falls below
+    t*L are cut at once, and answers are memoised on (e, t) for the length
+    of one call.  The generators of the scaled-threshold ideal are walked
+    in grlex order, so on NOT_EQUAL the witness is the first one the power
+    misses.
     """
     if L < 1:
         raise InvalidArgumentError(f"threshold L must be positive, got {L}")
     if d < 1:
         raise InvalidArgumentError(f"power exponent must be positive, got {d}")
-    base = weighted_ideal_gens(w, L)
-    target = weighted_ideal_gens(w, d * L)
-    power = ideal_power(base, d)
-    for g in power.generators:
-        assert monomial_weight(w, g) >= d * L, "power escaped the scaled threshold"
-    for g in target.generators:
-        if not contains_monomial(power, g):
+    if d == 1:
+        return EqualityVerdict(True, None)
+    # Generators involve only the positive-weight variables, so the search
+    # runs on exponent vectors truncated to those.
+    k = w.k
+    base = [
+        (g.exponents[:k], monomial_weight(w, g))
+        for g in weighted_ideal_gens(w, L).generators
+    ]
+    memo: dict[tuple[tuple[int, ...], int], bool] = {}
+
+    def in_power(e: tuple[int, ...], weight: int) -> bool:
+        # Depth first over one generator per factor.  Each frame holds a
+        # monomial, its weight, its power and its untried generators; an
+        # explicit stack keeps a large d clear of the recursion limit.
+        stack = [(e, weight, d, iter(base))]
+        while stack:
+            e, weight, t, untried = stack[-1]
+            for h, h_weight in untried:
+                rest_weight = weight - h_weight
+                if rest_weight < (t - 1) * L or not all(map(le, h, e)):
+                    continue
+                if t == 2:
+                    found = True
+                else:
+                    rest = tuple(map(sub, e, h))
+                    found = memo.get((rest, t - 1))
+                    if found is None:
+                        stack.append((rest, rest_weight, t - 1, iter(base)))
+                        break
+                if found:
+                    # Every monomial on the stack is a member through this one.
+                    for frame in stack:
+                        memo[frame[0], frame[2]] = True
+                    return True
+            else:
+                memo[e, t] = False
+                stack.pop()
+        return False
+
+    for g in weighted_ideal_gens(w, d * L).generators:
+        if not in_power(g.exponents[:k], monomial_weight(w, g)):
             return EqualityVerdict(False, g)
     return EqualityVerdict(True, None)
 

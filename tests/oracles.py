@@ -11,13 +11,16 @@ from __future__ import annotations
 import itertools
 
 from wblowup.monomials import (
+    EqualityVerdict,
     Monomial,
     MonomialIdeal,
     colon,
+    contains_monomial,
     ideal_power,
     minimalize,
 )
 from wblowup.symbolic import PrimaryMonomialIdeal
+from wblowup.weights import Weight, weighted_ideal_gens
 
 
 def brute_box_gens(entries: tuple[int, ...], d: int) -> set[tuple[int, ...]]:
@@ -82,6 +85,17 @@ def brute_symbolic(primary: PrimaryMonomialIdeal, t: int, max_bound: int = 12) -
 
 def brute_has_power_in(ideal: MonomialIdeal, g: Monomial, max_power: int) -> bool:
     """Does some g^j with 1 <= j <= max_power lie in the ideal?"""
-    from wblowup.monomials import contains_monomial
-
     return any(contains_monomial(ideal, g**j) for j in range(1, max_power + 1))
+
+
+def brute_power_equality(w: Weight, L: int, d: int) -> EqualityVerdict:
+    """Power equality by forming the d-th power of the threshold-L ideal.
+
+    Scans the generators of the threshold-d*L ideal in grlex order and
+    returns the first one that no generator of the power divides.
+    """
+    power = ideal_power(weighted_ideal_gens(w, L), d)
+    for g in weighted_ideal_gens(w, d * L).generators:
+        if not contains_monomial(power, g):
+            return EqualityVerdict(False, g)
+    return EqualityVerdict(True, None)

@@ -133,6 +133,29 @@ class TestReidTai:
             is_terminal(CyclicQuotientType(4, (2, 2)))
         assert exc.value.code == "ILL_FORMED_ACTION"
 
+    @pytest.mark.parametrize(
+        "order, twists, coordinate",
+        [(3, (1, 0, 0), "x1"), (4, (1, 2, 2), "x1"), (4, (2, 1, 2), "x2")],
+    )
+    def test_pseudo_reflection_rejected(self, order, twists, coordinate):
+        # Off some coordinate the twists share a factor with the order, so a
+        # nontrivial element fixes a hyperplane.  1/3(1,0,0) is smooth and
+        # 1/4(1,2,2) is 1/2(1,1,1): neither answer would be "not terminal".
+        with pytest.raises(IllFormedActionError) as exc:
+            is_terminal(CyclicQuotientType(order, twists))
+        assert exc.value.code == "ILL_FORMED_ACTION"
+        assert f"coordinate {coordinate}" in str(exc.value)
+
+    def test_integer_verdict_matches_ages(self):
+        for r in range(2, 13):
+            for twists in itertools.product(range(r), repeat=3):
+                q = CyclicQuotientType(r, twists)
+                try:
+                    verdict = is_terminal(q)
+                except IllFormedActionError:
+                    continue
+                assert verdict == all(age > 1 for age in reid_tai_ages(q)), (r, twists)
+
     def test_age_boundary_is_not_terminal(self):
         # Ages equal to 1 must fail the strict inequality.
         q = CyclicQuotientType(2, (1, 1))

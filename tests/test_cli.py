@@ -258,6 +258,13 @@ class TestTerminal:
         assert code == 2
         assert doc["error"]["code"] == "ILL_FORMED_ACTION"
 
+    @pytest.mark.parametrize("r, twists", [("3", "1,0,0"), ("4", "1,2,2")])
+    def test_pseudo_reflection_is_an_error(self, capsys, r, twists):
+        code, doc = run(capsys, "terminal", "--json", "--r", r, "--twists", twists)
+        assert code == 2
+        assert doc["result"] is None
+        assert doc["error"]["code"] == "ILL_FORMED_ACTION"
+
 
 class TestPush:
     def test_member(self, capsys):

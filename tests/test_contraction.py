@@ -8,12 +8,17 @@ from fractions import Fraction
 
 import pytest
 
+from wblowup import contraction
 from wblowup.charts import discrepancy, is_terminal_blowup
 from wblowup.contraction import (
     contraction_profile,
     validate_profile,
 )
-from wblowup.errors import InvalidArgumentError, NoSuchContractionError
+from wblowup.errors import (
+    InvalidArgumentError,
+    InvariantViolationError,
+    NoSuchContractionError,
+)
 from wblowup.weights import Weight
 
 
@@ -57,6 +62,13 @@ class TestContractionProfile:
             contraction_profile(4, -1, 1)
         with pytest.raises(InvalidArgumentError):
             contraction_profile(4, 1, 0)
+
+    def test_non_terminal_chart_raises(self, monkeypatch):
+        # The check is a raise, not an assert, so it also runs under python -O.
+        monkeypatch.setattr(contraction, "is_terminal", lambda q: False)
+        with pytest.raises(InvariantViolationError) as exc:
+            contraction_profile(4, 2, 3)
+        assert exc.value.code == "INVARIANT_VIOLATION"
 
 
 class TestValidateProfile:

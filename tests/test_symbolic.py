@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from oracles import brute_symbolic
 from strategies import ideals
-from wblowup.errors import InvalidArgumentError, RadicalNotPrimeError
+from wblowup import symbolic
+from wblowup.errors import (
+    InvalidArgumentError,
+    InvariantViolationError,
+    RadicalNotPrimeError,
+)
 from wblowup.monomials import (
     Monomial,
     MonomialIdeal,
@@ -115,6 +120,14 @@ class TestSymbolicPower:
             primary = as_primary(weighted_ideal_gens(w, b))
             for t in (2, 3):
                 assert symbolic_equals_ordinary(primary, t).equal, (b, k, t)
+
+    def test_escaped_ordinary_generator_raises(self, monkeypatch):
+        # The check is a raise, not an assert, so it also runs under python -O.
+        primary = as_primary(I(M(2, 0), M(1, 1)))
+        monkeypatch.setattr(symbolic, "symbolic_power", lambda p, t: I(M(9, 9)))
+        with pytest.raises(InvariantViolationError) as exc:
+            symbolic_equals_ordinary(primary, 2)
+        assert exc.value.code == "INVARIANT_VIOLATION"
 
 
 class TestSymbolicProperties:

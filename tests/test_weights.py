@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_power_equality
 from strategies import monomials, polynomials, weights
 from wblowup.errors import (
     InvalidArgumentError,
@@ -185,6 +186,11 @@ class TestPowerEquality:
         for entries in [(1, 1), (2, 3), (10, 14, 35), (1, 1, 5, 0)]:
             assert power_equality(Weight(entries), 9, 1).equal
 
+    def test_large_exponent_stays_off_the_recursion_limit(self):
+        # The search is one level deep per factor, so d = 1500 needs a stack
+        # deeper than the interpreter's default recursion limit.
+        assert power_equality(Weight((1, 0)), 3, 1500).equal
+
     def test_argument_validation(self):
         w = Weight((1, 2))
         with pytest.raises(InvalidArgumentError):
@@ -203,6 +209,19 @@ class TestPowerEquality:
                 w = Weight((1, 1) + (b,) * (k - 2) + (0,) * (n - k))
                 for d in (2, 3, 4):
                     assert power_equality(w, b, d).equal, (b, n, k, d)
+
+    @given(
+        st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        st.integers(0, 2),
+        st.integers(1, 12),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_search_matches_power_oracle(self, positive, zeros, L, d):
+        if math.gcd(*positive) != 1:
+            positive[0] = 1
+        w = Weight(tuple(positive) + (0,) * zeros)
+        assert power_equality(w, L, d) == brute_power_equality(w, L, d)
 
     @given(st.data(), st.integers(1, 8), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
