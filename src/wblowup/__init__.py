@@ -56,6 +56,7 @@ from .weights import (
 from .symbolic import (
     PrimaryMonomialIdeal,
     as_primary,
+    compare_symbolic_power,
     symbolic_equals_ordinary,
     symbolic_power,
 )

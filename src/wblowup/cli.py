@@ -36,7 +36,7 @@ from .parsing import (
     parse_polynomial,
     parse_weight,
 )
-from .symbolic import as_primary, symbolic_equals_ordinary, symbolic_power
+from .symbolic import as_primary, compare_symbolic_power
 from .weights import (
     find_normality_index,
     power_equality,
@@ -126,8 +126,7 @@ def _cmd_symbolic(args: argparse.Namespace) -> tuple[dict, bool]:
         raise InvalidArgumentError("pass either --gens, or --weight with --L")
     inputs["t"] = args.t
     primary = as_primary(ideal)
-    sym = symbolic_power(primary, args.t)
-    verdict = symbolic_equals_ordinary(primary, args.t)
+    sym, verdict = compare_symbolic_power(primary, args.t)
     result = {
         "radical_vars": sorted(primary.radical_vars),
         "symbolic_generators": [format_monomial(g) for g in sym.generators],

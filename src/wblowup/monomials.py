@@ -241,13 +241,29 @@ def minimalize(gens: Iterable[Monomial], ambient_dim: Optional[int] = None) -> M
         ambient_dim = pool[0].ambient_dim
     for g in pool:
         _same_dim(g.ambient_dim, ambient_dim)
-    # Ascending degree: any divisor of m is ranked before m, so one pass works.
-    exps = sorted({g.exponents for g in pool}, key=lambda e: (sum(e), tuple(-x for x in e)))
+    # Grlex order: lex descending, then a stable sort by degree.  Any divisor
+    # of m is ranked before m, so one pass works.
+    exps = sorted({g.exponents for g in pool}, reverse=True)
+    exps.sort(key=sum)
     kept: list[tuple[int, ...]] = []
     for e in exps:
         if not any(_tuple_divides(f, e) for f in kept):
             kept.append(e)
-    return MonomialIdeal(ambient_dim, tuple(Monomial(e) for e in kept))
+    return _ideal_from_grlex(ambient_dim, kept)
+
+
+def _ideal_from_grlex(ambient_dim: int, exps: Iterable[tuple[int, ...]]) -> MonomialIdeal:
+    """The ideal of exponent tuples that are distinct, minimal and in grlex order.
+
+    Skips the deduplicating sort of the public constructor; each tuple must
+    have length ``ambient_dim``.
+    """
+    if ambient_dim < 1:
+        raise ValueError("ambient dimension must be at least 1")
+    ideal = object.__new__(MonomialIdeal)
+    object.__setattr__(ideal, "ambient_dim", ambient_dim)
+    object.__setattr__(ideal, "generators", tuple(map(Monomial, exps)))
+    return ideal
 
 
 def ideal_product(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal:

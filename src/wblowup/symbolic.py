@@ -27,6 +27,7 @@ __all__ = [
     "as_primary",
     "symbolic_power",
     "symbolic_equals_ordinary",
+    "compare_symbolic_power",
 ]
 
 
@@ -80,14 +81,7 @@ def symbolic_power(primary: PrimaryMonomialIdeal, t: int) -> MonomialIdeal:
     every variable lies in the radical the ordinary power is returned
     unchanged.
     """
-    if t < 1:
-        raise InvalidArgumentError(f"symbolic power exponent must be positive, got {t}")
-    power = ideal_power(primary.ideal, t)
-    n = primary.ideal.ambient_dim
-    outside = tuple(0 if i in primary.radical_vars else 1 for i in range(1, n + 1))
-    if not any(outside):
-        return power
-    return saturate(power, Monomial(outside))
+    return _saturate_off_radical(primary, _ordinary_power(primary, t))
 
 
 def symbolic_equals_ordinary(primary: PrimaryMonomialIdeal, t: int) -> EqualityVerdict:
@@ -97,8 +91,19 @@ def symbolic_equals_ordinary(primary: PrimaryMonomialIdeal, t: int) -> EqualityV
     is checked (InvariantViolationError otherwise); on NOT_EQUAL the verdict
     carries a generator of the symbolic power that the ordinary power misses.
     """
-    ordinary = ideal_power(primary.ideal, t)
-    sym = symbolic_power(primary, t)
+    return compare_symbolic_power(primary, t)[1]
+
+
+def compare_symbolic_power(
+    primary: PrimaryMonomialIdeal, t: int
+) -> tuple[MonomialIdeal, EqualityVerdict]:
+    """The t-th symbolic power together with its comparison to the ordinary one.
+
+    Both come from one ordinary power; the verdict is that of
+    :func:`symbolic_equals_ordinary`.
+    """
+    ordinary = _ordinary_power(primary, t)
+    sym = _saturate_off_radical(primary, ordinary)
     for g in ordinary.generators:
         if not contains_monomial(sym, g):
             raise InvariantViolationError(
@@ -106,5 +111,19 @@ def symbolic_equals_ordinary(primary: PrimaryMonomialIdeal, t: int) -> EqualityV
             )
     for g in sym.generators:
         if not contains_monomial(ordinary, g):
-            return EqualityVerdict(False, g)
-    return EqualityVerdict(True, None)
+            return sym, EqualityVerdict(False, g)
+    return sym, EqualityVerdict(True, None)
+
+
+def _ordinary_power(primary: PrimaryMonomialIdeal, t: int) -> MonomialIdeal:
+    if t < 1:
+        raise InvalidArgumentError(f"symbolic power exponent must be positive, got {t}")
+    return ideal_power(primary.ideal, t)
+
+
+def _saturate_off_radical(primary: PrimaryMonomialIdeal, power: MonomialIdeal) -> MonomialIdeal:
+    n = primary.ideal.ambient_dim
+    outside = tuple(0 if i in primary.radical_vars else 1 for i in range(1, n + 1))
+    if not any(outside):
+        return power
+    return saturate(power, Monomial(outside))

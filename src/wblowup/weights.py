@@ -25,7 +25,7 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     Polynomial,
-    grlex_key,
+    _ideal_from_grlex,
     ideal_product,
     ideals_equal,
     minimalize,
@@ -118,13 +118,17 @@ def sigma_wt(w: Weight, f: Polynomial) -> int:
 
 
 def _minimal_generator_exponents(entries: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
-    """Exponent vectors of the minimal monomials of weighted degree >= d.
+    """Exponent vectors of the minimal monomials of weighted degree >= d, in lex order.
 
     Accepts any entry vector shaped (positives..., zeros...); no gcd
     normalization is assumed, so callers may pass raw thresholds.  A vector
     s is minimal exactly when its weight lands in [d, d + min of the weights
     of its support), i.e. dropping any single present variable falls below
-    the threshold.  The search never leaves the box s_i <= ceil(d / a_i).
+    the threshold.  The search fixes the first k - 1 positive coordinates
+    depth first, each in ascending order, and never leaves the box
+    s_i <= ceil(d / a_i).  The last positive coordinate needs no search:
+    below the threshold only its smallest exponent reaching d can be
+    minimal, so each prefix costs one step and yields at most one vector.
     """
     n = len(entries)
     k = 0
@@ -135,17 +139,21 @@ def _minimal_generator_exponents(entries: tuple[int, ...], d: int) -> list[tuple
     if k == 0:
         return []
     a = entries[:k]
+    last = k - 1
+    a_last = a[last]
     out: list[tuple[int, ...]] = []
     s = [0] * n
     unbounded = d + max(a) + 1  # sentinel above any reachable cap
 
     def rec(i: int, acc: int, cap: int) -> None:
-        # cap = d + min weight among variables already present (sentinel if none).
-        if acc >= d:
-            if acc < cap:
+        # cap = d + min weight among variables already present (sentinel if
+        # none); acc < d on entry, so acc + t * a_last < d + a_last below.
+        if i == last:
+            t = -((acc - d) // a_last)
+            if acc + t * a_last < cap:
+                s[last] = t
                 out.append(tuple(s))
-            return  # any extension re-crosses the threshold and loses minimality
-        if i == k:
+                s[last] = 0
             return
         rec(i + 1, acc, cap)
         ai = a[i]
@@ -154,6 +162,9 @@ def _minimal_generator_exponents(entries: tuple[int, ...], d: int) -> list[tuple
         t = 1
         while weight < new_cap:
             s[i] = t
+            if weight >= d:
+                out.append(tuple(s))  # any extension loses minimality
+                break
             rec(i + 1, weight, new_cap)
             t += 1
             weight += ai
@@ -163,11 +174,13 @@ def _minimal_generator_exponents(entries: tuple[int, ...], d: int) -> list[tuple
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _minimal_ideal(entries: tuple[int, ...], d: int) -> MonomialIdeal:
     exps = _minimal_generator_exponents(entries, d)
-    gens = tuple(sorted((Monomial(e) for e in exps), key=grlex_key))
-    return MonomialIdeal(len(entries), gens)
+    # Lex order reversed, then a stable sort by degree, is grlex order.
+    exps.reverse()
+    exps.sort(key=sum)
+    return _ideal_from_grlex(len(entries), exps)
 
 
 def weighted_ideal_gens(w: Weight, d: int) -> MonomialIdeal:

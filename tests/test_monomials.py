@@ -116,6 +116,17 @@ class TestMinimalize:
 
     @given(st.data(), st.integers(1, 4))
     @settings(max_examples=150)
+    def test_matches_public_constructor(self, data, n):
+        # minimalize builds its ideal without the constructor's sort, so its
+        # generators must already be distinct and in canonical order.
+        gens = data.draw(st.lists(monomials(n=n), max_size=8))
+        ideal = minimalize(gens, n)
+        shuffled = list(ideal.generators) * 2
+        random.Random(0).shuffle(shuffled)
+        assert ideal == MonomialIdeal(n, tuple(shuffled))
+
+    @given(st.data(), st.integers(1, 4))
+    @settings(max_examples=150)
     def test_preserves_membership(self, data, n):
         gens = data.draw(st.lists(monomials(n=n), max_size=6))
         probe = data.draw(monomials(n=n, max_exp=6))

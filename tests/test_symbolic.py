@@ -124,7 +124,7 @@ class TestSymbolicPower:
     def test_escaped_ordinary_generator_raises(self, monkeypatch):
         # The check is a raise, not an assert, so it also runs under python -O.
         primary = as_primary(I(M(2, 0), M(1, 1)))
-        monkeypatch.setattr(symbolic, "symbolic_power", lambda p, t: I(M(9, 9)))
+        monkeypatch.setattr(symbolic, "saturate", lambda ideal, m: I(M(9, 9)))
         with pytest.raises(InvariantViolationError) as exc:
             symbolic_equals_ordinary(primary, 2)
         assert exc.value.code == "INVARIANT_VIOLATION"

@@ -6,10 +6,10 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_power_equality
+from oracles import brute_box_gens, brute_power_equality
 from strategies import monomials, polynomials, weights
 from wblowup.errors import (
     InvalidArgumentError,
@@ -22,6 +22,7 @@ from wblowup.monomials import (
     contains,
     contains_monomial,
     divides,
+    grlex_key,
     ideal_power,
 )
 from wblowup.weights import (
@@ -126,6 +127,28 @@ class TestWeightedIdealGens:
     def test_single_variable(self):
         gens = weighted_ideal_gens(Weight((1,)), 5).generators
         assert gens == (M(5),)
+
+    def test_two_entries_at_a_large_threshold(self):
+        # x1^(2j) * x2^(10000 - j) for j = 0..10000.
+        assert len(weighted_ideal_gens(Weight((1, 2)), 20000).generators) == 10001
+
+    @given(
+        st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        st.integers(0, 2),
+        st.integers(0, 16),
+    )
+    @example([1], 0, 12)
+    @example([2, 3], 2, 7)
+    @example([1, 4], 1, 0)
+    @settings(max_examples=100, deadline=None)
+    def test_generators_match_box_oracle_in_grlex_order(self, positive, zeros, d):
+        if math.gcd(*positive) != 1:
+            positive[0] = 1
+        w = Weight(tuple(positive) + (0,) * zeros)
+        gens = weighted_ideal_gens(w, d).generators
+        assert {g.exponents for g in gens} == brute_box_gens(w.entries, d)
+        keys = [grlex_key(g) for g in gens]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
     @given(st.data(), st.integers(0, 30))
     @settings(max_examples=120)
