@@ -53,7 +53,7 @@ class Monomial:
         object.__setattr__(self, "exponents", exps)
         if len(exps) < 1:
             raise ValueError("ambient dimension must be at least 1")
-        if any(e < 0 for e in exps):
+        if min(exps) < 0:
             raise ValueError(f"negative exponent in {exps}")
 
     @classmethod
@@ -241,15 +241,20 @@ def minimalize(gens: Iterable[Monomial], ambient_dim: Optional[int] = None) -> M
         ambient_dim = pool[0].ambient_dim
     for g in pool:
         _same_dim(g.ambient_dim, ambient_dim)
+    return _ideal_from_grlex(ambient_dim, _grlex_antichain({g.exponents for g in pool}))
+
+
+def _grlex_antichain(exps: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The divisibility-minimal tuples of the set ``exps``, in grlex order."""
     # Grlex order: lex descending, then a stable sort by degree.  Any divisor
-    # of m is ranked before m, so one pass works.
-    exps = sorted({g.exponents for g in pool}, reverse=True)
-    exps.sort(key=sum)
+    # of e is ranked before e, so one pass works.
+    ordered = sorted(exps, reverse=True)
+    ordered.sort(key=sum)
     kept: list[tuple[int, ...]] = []
-    for e in exps:
+    for e in ordered:
         if not any(_tuple_divides(f, e) for f in kept):
             kept.append(e)
-    return _ideal_from_grlex(ambient_dim, kept)
+    return kept
 
 
 def _ideal_from_grlex(ambient_dim: int, exps: Iterable[tuple[int, ...]]) -> MonomialIdeal:
@@ -274,7 +279,7 @@ def ideal_product(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal:
         for g in left.generators
         for h in right.generators
     }
-    return minimalize((Monomial(e) for e in prods), left.ambient_dim)
+    return _ideal_from_grlex(left.ambient_dim, _grlex_antichain(prods))
 
 
 def ideal_power(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
@@ -309,30 +314,32 @@ def colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """Colon ideal (I : m), computed generator-wise as g / gcd(g, m)."""
     _same_dim(ideal.ambient_dim, m.ambient_dim)
     me = m.exponents
-    quotients = (
-        Monomial(tuple(max(g - x, 0) for g, x in zip(gen.exponents, me)))
-        for gen in ideal.generators
-    )
-    return minimalize(quotients, ideal.ambient_dim)
+    quotients = {
+        tuple(max(g - x, 0) for g, x in zip(gen.exponents, me)) for gen in ideal.generators
+    }
+    return _ideal_from_grlex(ideal.ambient_dim, _grlex_antichain(quotients))
 
 
 def saturate(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
-    """Saturation (I : m^infinity): iterate colon until it stabilizes."""
+    """Saturation (I : m^infinity), in closed form.
+
+    Each generator g becomes g with the coordinates in supp(m) set to 0, and
+    the result is minimalized once.  Proof: (g) : m^k = (g / gcd(g, m^k)),
+    which is g with supp(m) zeroed once k >= max(g), and the quotient of a
+    sum of principal monomial ideals is the sum of the quotients.
+    """
     _same_dim(ideal.ambient_dim, m.ambient_dim)
-    current = ideal
-    while True:
-        nxt = colon(current, m)
-        if nxt == current:
-            return current
-        current = nxt
+    zeroed = {
+        tuple(0 if x else g for g, x in zip(gen.exponents, m.exponents))
+        for gen in ideal.generators
+    }
+    return _ideal_from_grlex(ideal.ambient_dim, _grlex_antichain(zeroed))
 
 
 def radical(ideal: MonomialIdeal) -> MonomialIdeal:
     """Radical of a monomial ideal: squarefree supports of the generators."""
-    supports = (
-        Monomial(tuple(1 if e > 0 else 0 for e in g.exponents)) for g in ideal.generators
-    )
-    return minimalize(supports, ideal.ambient_dim)
+    supports = {tuple(1 if e > 0 else 0 for e in g.exponents) for g in ideal.generators}
+    return _ideal_from_grlex(ideal.ambient_dim, _grlex_antichain(supports))
 
 
 def ideals_equal(left: MonomialIdeal, right: MonomialIdeal) -> bool:

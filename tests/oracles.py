@@ -1,9 +1,9 @@
 """Brute-force reference implementations used to pin expected values.
 
 Each oracle recomputes a library answer along an independent route:
-exhaustive lattice enumeration instead of pruned search, unions of colons
-instead of iterated saturation, explicit power scans instead of radical
-membership.  They are deliberately slow and simple.
+exhaustive lattice enumeration instead of pruned search, iterated or
+united colons instead of closed-form saturation, explicit power scans
+instead of radical membership.  They are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -55,6 +55,16 @@ def brute_box_gens(entries: tuple[int, ...], d: int) -> set[tuple[int, ...]]:
         if minimal:
             kept.append(s)
     return {t + (0,) * (n - k) for t in kept}
+
+
+def brute_saturate(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
+    """Saturation (I : m^infinity) by iterating colon until the ideal stops changing."""
+    current = ideal
+    while True:
+        nxt = colon(current, m)
+        if nxt == current:
+            return current
+        current = nxt
 
 
 def brute_symbolic(primary: PrimaryMonomialIdeal, t: int, max_bound: int = 12) -> MonomialIdeal:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_has_power_in
+from oracles import brute_has_power_in, brute_saturate
 from strategies import ideals, monomials
 from wblowup.errors import DimensionMismatchError
 from wblowup.monomials import (
@@ -226,6 +226,19 @@ class TestColonAndSaturate:
         m = data.draw(monomials(n=n, max_exp=3))
         h = data.draw(monomials(n=n, max_exp=3))
         assert contains_monomial(colon(ideal, m), h) == contains_monomial(ideal, h * m)
+
+    @given(st.data(), st.integers(1, 4))
+    @settings(max_examples=200)
+    def test_saturate_matches_iterated_colon(self, data, n):
+        ideal = data.draw(
+            st.one_of(
+                st.just(MonomialIdeal.zero(n)),
+                st.just(MonomialIdeal.unit(n)),
+                ideals(n=n, max_gens=5, max_exp=5),
+            )
+        )
+        m = data.draw(st.one_of(st.just(Monomial.one(n)), monomials(n=n, max_exp=3)))
+        assert saturate(ideal, m) == brute_saturate(ideal, m)
 
     @given(st.data(), st.integers(1, 4))
     @settings(max_examples=80)
