@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from operator import le, sub
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionMismatchError
 
@@ -215,17 +216,10 @@ class EqualityVerdict:
         return "EQUAL" if self.equal else "NOT_EQUAL"
 
 
-def _tuple_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
 def divides(m1: Monomial, m2: Monomial) -> bool:
     """True iff m1 divides m2 componentwise."""
     _same_dim(m1.ambient_dim, m2.ambient_dim)
-    return _tuple_divides(m1.exponents, m2.exponents)
+    return all(map(le, m1.exponents, m2.exponents))
 
 
 def minimalize(gens: Iterable[Monomial], ambient_dim: Optional[int] = None) -> MonomialIdeal:
@@ -252,7 +246,7 @@ def _grlex_antichain(exps: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
     ordered.sort(key=sum)
     kept: list[tuple[int, ...]] = []
     for e in ordered:
-        if not any(_tuple_divides(f, e) for f in kept):
+        if not any(all(map(le, f, e)) for f in kept):
             kept.append(e)
     return kept
 
@@ -294,11 +288,67 @@ def ideal_power(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
     return acc
 
 
+def _power_membership(
+    base: Sequence[tuple[tuple[int, ...], int]], floor: int, t: int, threshold: bool = False
+) -> Callable[[tuple[int, ...], int], bool]:
+    """Membership in the t-th power of an ideal, without forming the power.
+
+    ``base`` lists the generators that may serve as factors, each with its
+    value under a linear weight that is at least ``floor`` on every one of
+    them.  The returned ``in_power(e, weight)`` says whether the monomial e
+    of that weight is a product of t base generators times a monomial.
+    For t > 1 that holds when some h in the base divides e with e / h in
+    the (t-1)-th power; branches whose remaining weight falls below
+    (t-1)*floor are cut, and answers are memoised on (e, t) for the life
+    of the returned function.  The last factor is tested by divisibility,
+    unless ``threshold`` says the base is every minimal monomial of weight
+    >= floor: then any rest of weight >= floor is a member, so the cut
+    alone decides it.
+    """
+    memo: dict[tuple[tuple[int, ...], int], bool] = {}
+
+    def in_first(e: tuple[int, ...]) -> bool:
+        return any(all(map(le, h, e)) for h, _ in base)
+
+    def in_power(e: tuple[int, ...], weight: int) -> bool:
+        if t == 1:
+            return in_first(e)
+        # Depth first over one generator per factor.  Each frame holds a
+        # monomial, its weight, its power and its untried generators; an
+        # explicit stack keeps a large t clear of the recursion limit.
+        stack = [(e, weight, t, iter(base))]
+        while stack:
+            e, weight, s, untried = stack[-1]
+            for h, h_weight in untried:
+                rest_weight = weight - h_weight
+                if rest_weight < (s - 1) * floor or not all(map(le, h, e)):
+                    continue
+                if s == 2:
+                    found = threshold or in_first(tuple(map(sub, e, h)))
+                else:
+                    rest = tuple(map(sub, e, h))
+                    found = memo.get((rest, s - 1))
+                    if found is None:
+                        stack.append((rest, rest_weight, s - 1, iter(base)))
+                        break
+                if found:
+                    # Every monomial on the stack is a member through this one.
+                    for frame in stack:
+                        memo[frame[0], frame[2]] = True
+                    return True
+            else:
+                memo[e, s] = False
+                stack.pop()
+        return False
+
+    return in_power
+
+
 def contains_monomial(ideal: MonomialIdeal, m: Monomial) -> bool:
     """True iff some generator divides m."""
     _same_dim(ideal.ambient_dim, m.ambient_dim)
     me = m.exponents
-    return any(_tuple_divides(g.exponents, me) for g in ideal.generators)
+    return any(all(map(le, g.exponents, me)) for g in ideal.generators)
 
 
 def contains(ideal: MonomialIdeal, f: Polynomial) -> bool:

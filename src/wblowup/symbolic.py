@@ -2,9 +2,9 @@
 
 For a monomial ideal whose radical is generated by single variables, the
 t-th symbolic power is the t-th ordinary power with the variables outside
-the radical inverted, computed here as a saturation.  The ordinary power
-always sits inside the symbolic one; the two can differ, and the comparison
-returns a witness when they do.
+the radical inverted, computed here as the t-th power of a saturation.  The
+ordinary power always sits inside the symbolic one; the two can differ, and
+the comparison returns a witness when they do.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .monomials import (
     EqualityVerdict,
     Monomial,
     MonomialIdeal,
+    _power_membership,
     contains_monomial,
     ideal_power,
     radical,
@@ -75,13 +76,19 @@ def as_primary(ideal: MonomialIdeal) -> PrimaryMonomialIdeal:
 
 
 def symbolic_power(primary: PrimaryMonomialIdeal, t: int) -> MonomialIdeal:
-    """t-th symbolic power: the t-th power saturated off the radical.
+    """t-th symbolic power, taken as the t-th power of the saturated ideal.
 
-    Saturation is by the product of all variables outside the radical; when
-    every variable lies in the radical the ordinary power is returned
-    unchanged.
+    The symbolic power is I^t : m^infinity, where m is the product of the
+    variables outside the radical, and it equals (I : m^infinity)^t, so
+    I^t is never formed.  Proof: saturating a monomial ideal by m sets the
+    coordinates of supp(m) to 0 in each of its generators (see
+    :func:`saturate`), for any generating set.  That map is multiplicative
+    on monomials, and I^t is generated by the products of t generators of
+    I, so I^t : m^infinity is generated by the products of t generators of
+    I : m^infinity, which generate (I : m^infinity)^t.  When every variable
+    lies in the radical, m = 1 and the symbolic power equals I^t.
     """
-    return _saturate_off_radical(primary, _ordinary_power(primary, t))
+    return ideal_power(_checked_saturation(primary, t), t)
 
 
 def symbolic_equals_ordinary(primary: PrimaryMonomialIdeal, t: int) -> EqualityVerdict:
@@ -90,8 +97,14 @@ def symbolic_equals_ordinary(primary: PrimaryMonomialIdeal, t: int) -> EqualityV
     The ordinary power is always contained in the symbolic power, and this
     is checked (InvariantViolationError otherwise); on NOT_EQUAL the verdict
     carries a generator of the symbolic power that the ordinary power misses.
+    The verdict is that of :func:`compare_symbolic_power`, which describes
+    how it is reached; when the saturation removes nothing, no power is
+    formed at all.
     """
-    return compare_symbolic_power(primary, t)[1]
+    sat = _checked_saturation(primary, t)
+    if sat == primary.ideal:
+        return EqualityVerdict(True, None)
+    return _first_missed(primary, ideal_power(sat, t), t)
 
 
 def compare_symbolic_power(
@@ -99,31 +112,54 @@ def compare_symbolic_power(
 ) -> tuple[MonomialIdeal, EqualityVerdict]:
     """The t-th symbolic power together with its comparison to the ordinary one.
 
-    Both come from one ordinary power; the verdict is that of
-    :func:`symbolic_equals_ordinary`.
+    The symbolic power is formed as in :func:`symbolic_power`.  The
+    inclusion of I^t in it is checked without I^t: every generator of I
+    lying in the saturation sat(I) gives I^t <= sat(I)^t.  When sat(I) = I
+    the two powers are equal.  Otherwise the generators of sat(I)^t are
+    walked in grlex order and each is tested for membership in I^t by the
+    search ``power_equality`` also uses, with the total degree as weight,
+    so on NOT_EQUAL the witness is the first one I^t misses.  Those
+    generators involve only the radical variables, so only the generators
+    of I supported there can be factors.
     """
-    ordinary = _ordinary_power(primary, t)
-    sym = _saturate_off_radical(primary, ordinary)
-    for g in ordinary.generators:
-        if not contains_monomial(sym, g):
-            raise InvariantViolationError(
-                f"ordinary power generator {g.exponents} escaped the symbolic power"
-            )
-    for g in sym.generators:
-        if not contains_monomial(ordinary, g):
-            return sym, EqualityVerdict(False, g)
-    return sym, EqualityVerdict(True, None)
+    sat = _checked_saturation(primary, t)
+    sym = ideal_power(sat, t)
+    if sat == primary.ideal:
+        return sym, EqualityVerdict(True, None)
+    return sym, _first_missed(primary, sym, t)
 
 
-def _ordinary_power(primary: PrimaryMonomialIdeal, t: int) -> MonomialIdeal:
+def _checked_saturation(primary: PrimaryMonomialIdeal, t: int) -> MonomialIdeal:
+    """sat(I), by the product of the variables outside the radical.
+
+    Checks that t is positive and that every generator of I lies in sat(I).
+    """
     if t < 1:
         raise InvalidArgumentError(f"symbolic power exponent must be positive, got {t}")
-    return ideal_power(primary.ideal, t)
-
-
-def _saturate_off_radical(primary: PrimaryMonomialIdeal, power: MonomialIdeal) -> MonomialIdeal:
-    n = primary.ideal.ambient_dim
+    ideal = primary.ideal
+    n = ideal.ambient_dim
     outside = tuple(0 if i in primary.radical_vars else 1 for i in range(1, n + 1))
-    if not any(outside):
-        return power
-    return saturate(power, Monomial(outside))
+    sat = saturate(ideal, Monomial(outside))
+    for g in ideal.generators:
+        if not contains_monomial(sat, g):
+            raise InvariantViolationError(
+                f"generator {g.exponents} of the ideal escaped its saturation"
+            )
+    return sat
+
+
+def _first_missed(
+    primary: PrimaryMonomialIdeal, sym: MonomialIdeal, t: int
+) -> EqualityVerdict:
+    """EQUAL, or NOT_EQUAL with the first generator of ``sym`` outside I^t."""
+    rad = primary.radical_vars
+    base = [
+        (g.exponents, g.degree)
+        for g in primary.ideal.generators
+        if all(i in rad for i, e in enumerate(g.exponents, start=1) if e)
+    ]
+    in_power = _power_membership(base, min((d for _, d in base), default=0), t)
+    for g in sym.generators:
+        if not in_power(g.exponents, g.degree):
+            return EqualityVerdict(False, g)
+    return EqualityVerdict(True, None)

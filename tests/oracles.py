@@ -3,7 +3,10 @@
 Each oracle recomputes a library answer along an independent route:
 exhaustive lattice enumeration instead of pruned search, iterated or
 united colons instead of closed-form saturation, explicit power scans
-instead of radical membership.  They are deliberately slow and simple.
+instead of radical membership, and formed powers instead of membership
+searches (``brute_power_equality`` for thresholds,
+``brute_compare_symbolic_power`` for symbolic powers).  They are
+deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from wblowup.monomials import (
     contains_monomial,
     ideal_power,
     minimalize,
+    saturate,
 )
 from wblowup.symbolic import PrimaryMonomialIdeal
 from wblowup.weights import Weight, weighted_ideal_gens
@@ -109,3 +113,24 @@ def brute_power_equality(w: Weight, L: int, d: int) -> EqualityVerdict:
         if not contains_monomial(power, g):
             return EqualityVerdict(False, g)
     return EqualityVerdict(True, None)
+
+
+def brute_compare_symbolic_power(
+    primary: PrimaryMonomialIdeal, t: int
+) -> tuple[MonomialIdeal, EqualityVerdict]:
+    """Symbolic power and its verdict by forming the ordinary power I^t.
+
+    Saturates I^t by the product of the variables outside the radical,
+    checks that every generator of I^t lies in the result, and scans the
+    generators of the saturation in grlex order for the first one that no
+    generator of I^t divides.
+    """
+    ordinary = ideal_power(primary.ideal, t)
+    n = primary.ideal.ambient_dim
+    outside = tuple(0 if i in primary.radical_vars else 1 for i in range(1, n + 1))
+    sym = saturate(ordinary, Monomial(outside))
+    assert all(contains_monomial(sym, g) for g in ordinary.generators)
+    for g in sym.generators:
+        if not contains_monomial(ordinary, g):
+            return sym, EqualityVerdict(False, g)
+    return sym, EqualityVerdict(True, None)

@@ -39,6 +39,29 @@ def ideals(
 
 
 @st.composite
+def prime_radical_ideals(
+    draw, n: int, max_exp: int = 4, max_mixed: int = 4
+) -> MonomialIdeal:
+    """Ideals whose radical is generated by a drawn set of variables.
+
+    Each radical variable gets a pure power; every further generator, often
+    one of several variables, involves at least one radical variable.
+    """
+    radical = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    gens = []
+    for i in radical:
+        e = [0] * n
+        e[i] = draw(st.integers(1, max_exp))
+        gens.append(Monomial(tuple(e)))
+    for e in draw(st.lists(exponent_tuples(n, max_exp), max_size=max_mixed)):
+        e = list(e)
+        j = draw(st.sampled_from(radical))
+        e[j] = max(e[j], 1)
+        gens.append(Monomial(tuple(e)))
+    return minimalize(gens, n)
+
+
+@st.composite
 def polynomials(
     draw,
     n: int | None = None,

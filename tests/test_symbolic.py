@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_symbolic
-from strategies import ideals
+from oracles import brute_compare_symbolic_power, brute_symbolic
+from strategies import ideals, prime_radical_ideals
 from wblowup import symbolic
 from wblowup.errors import (
     InvalidArgumentError,
@@ -26,6 +26,7 @@ from wblowup.monomials import (
 from wblowup.symbolic import (
     PrimaryMonomialIdeal,
     as_primary,
+    compare_symbolic_power,
     symbolic_equals_ordinary,
     symbolic_power,
 )
@@ -121,6 +122,24 @@ class TestSymbolicPower:
             for t in (2, 3):
                 assert symbolic_equals_ordinary(primary, t).equal, (b, k, t)
 
+    def test_radical_given_directly_matches_oracle(self):
+        # No generator of (x1*x2) is supported on the stated radical {1}, so
+        # the search has no factor to try and the first generator is missed.
+        primary = PrimaryMonomialIdeal(I(M(1, 1)), frozenset({1}))
+        for t in (1, 2, 3):
+            sym, verdict = compare_symbolic_power(primary, t)
+            assert (sym, verdict) == brute_compare_symbolic_power(primary, t)
+            assert verdict.witness == M(t, 0)
+
+    def test_last_factor_is_tested_by_divisibility(self):
+        # Saturating (x2, x1*x3, x3^2) off x1 gives (x2, x3).  x2*x3 has the
+        # degree of two factors, but x2*x3 / x2 = x3 is not in the ideal.
+        primary = as_primary(I(M(0, 1, 0), M(1, 0, 1), M(0, 0, 2)))
+        sym, verdict = compare_symbolic_power(primary, 2)
+        assert sym.generators == (M(0, 2, 0), M(0, 1, 1), M(0, 0, 2))
+        assert verdict.witness == M(0, 1, 1)
+        assert symbolic_equals_ordinary(primary, 2) == verdict
+
     def test_escaped_ordinary_generator_raises(self, monkeypatch):
         # The check is a raise, not an assert, so it also runs under python -O.
         primary = as_primary(I(M(2, 0), M(1, 1)))
@@ -156,3 +175,14 @@ class TestSymbolicProperties:
         except RadicalNotPrimeError:
             return
         assert symbolic_power(primary, t) == brute_symbolic(primary, t)
+
+    @given(st.data(), st.integers(1, 5), st.integers(1, 4))
+    @settings(max_examples=500, deadline=None)
+    def test_comparison_matches_ordinary_power_oracle(self, data, n, t):
+        # Generators, verdict and witness against the route that forms I^t.
+        ideal = data.draw(prime_radical_ideals(n=n, max_exp=3))
+        primary = as_primary(ideal)
+        sym, verdict = compare_symbolic_power(primary, t)
+        assert (sym, verdict) == brute_compare_symbolic_power(primary, t)
+        assert symbolic_power(primary, t) == sym
+        assert symbolic_equals_ordinary(primary, t) == verdict
