@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,20 +43,13 @@ def _default_weights() -> list[Weight]:
     return family + coprime
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    d_max: int = 3
-    L_max: int = 60
-    weights: list[Weight] = field(default_factory=_default_weights)
-
-
-def run(config: SearchConfig) -> None:
+def run(weights: list[Weight], d_max: int, L_max: int) -> None:
     header = f"{'weight':>18}  {'cartier':>7}  {'index':>6}  {'index/cartier':>13}"
     print(header)
     print("-" * len(header))
-    for w in config.weights:
+    for w in weights:
         cartier = cartier_index(w)
-        index = find_normality_index(w, config.d_max, config.L_max)
+        index = find_normality_index(w, d_max, L_max)
         if index is None:
             rendered, ratio = "-", "-"
         else:
@@ -78,10 +70,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.n is None:
             parser.error("--n is required with --weights")
         weights = [parse_weight(args.weights, args.n)]
-        config = SearchConfig(d_max=args.d_max, L_max=args.L_max, weights=weights)
     else:
-        config = SearchConfig(d_max=args.d_max, L_max=args.L_max)
-    run(config)
+        weights = _default_weights()
+    run(weights, args.d_max, args.L_max)
     return 0
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -22,22 +21,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from wblowup.contraction import contraction_profile, validate_profile
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    n_max: int = 6
-    b_max: int = 3
-
-
-def run(config: SweepConfig) -> None:
+def run(n_max: int, b_max: int) -> None:
     header = (
         f"{'n':>3} {'r':>3} {'b':>3}  {'tau':>6} {'codim':>5} {'fiber':>5} "
         f"{'discrep':>7} {'cartier':>7}  {'terminal':>8}  {'checks':>6}"
     )
     print(header)
     print("-" * len(header))
-    for n in range(2, config.n_max + 1):
+    for n in range(2, n_max + 1):
         for r in range(0, n - 1):
-            for b in range(1, config.b_max + 1):
+            for b in range(1, b_max + 1):
                 p = contraction_profile(n, r, b)
                 report = validate_profile(p)
                 status = "ok" if report.all_pass else "FAIL"
@@ -53,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n-max", type=int, default=6, dest="n_max")
     parser.add_argument("--b-max", type=int, default=3, dest="b_max")
     args = parser.parse_args(argv)
-    run(SweepConfig(n_max=args.n_max, b_max=args.b_max))
+    run(args.n_max, args.b_max)
     return 0
 
 

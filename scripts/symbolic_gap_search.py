@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -27,41 +26,30 @@ from wblowup.parsing import format_monomial
 from wblowup.symbolic import as_primary, symbolic_equals_ordinary
 
 
-@dataclass(frozen=True)
-class GapSearchConfig:
-    seed: int = 77
-    trials: int = 500
-    n: int = 3
-    max_generators: int = 3
-    max_exponent: int = 3
-    t: int = 2
+MAX_GENERATORS = 3
 
 
-def run(config: GapSearchConfig) -> int:
-    rng = random.Random(config.seed)
+def run(seed: int, trials: int, n: int, max_exponent: int, t: int) -> int:
+    rng = random.Random(seed)
     found = 0
     examined = 0
-    for _ in range(config.trials):
+    for _ in range(trials):
         gens = [
-            Monomial(tuple(rng.randint(0, config.max_exponent) for _ in range(config.n)))
-            for _ in range(rng.randint(1, config.max_generators))
+            Monomial(tuple(rng.randint(0, max_exponent) for _ in range(n)))
+            for _ in range(rng.randint(1, MAX_GENERATORS))
         ]
-        ideal = minimalize(gens, config.n)
+        ideal = minimalize(gens, n)
         try:
             primary = as_primary(ideal)
         except (RadicalNotPrimeError, InvalidArgumentError):
             continue
         examined += 1
-        verdict = symbolic_equals_ordinary(primary, config.t)
+        verdict = symbolic_equals_ordinary(primary, t)
         if not verdict.equal:
             found += 1
             rendered = ", ".join(format_monomial(g) for g in ideal.generators)
-            print(
-                f"gap: ideal ({rendered}), t = {config.t}, "
-                f"witness {format_monomial(verdict.witness)}"
-            )
-    print(f"{found} strict gaps in {examined} prime-radical ideals "
-          f"({config.trials} trials, seed {config.seed})")
+            print(f"gap: ideal ({rendered}), t = {t}, witness {format_monomial(verdict.witness)}")
+    print(f"{found} strict gaps in {examined} prime-radical ideals ({trials} trials, seed {seed})")
     return found
 
 
@@ -73,14 +61,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--t", type=int, default=2)
     parser.add_argument("--max-exponent", type=int, default=3, dest="max_exponent")
     args = parser.parse_args(argv)
-    config = GapSearchConfig(
-        seed=args.seed,
-        trials=args.trials,
-        n=args.n,
-        max_exponent=args.max_exponent,
-        t=args.t,
-    )
-    run(config)
+    run(args.seed, args.trials, args.n, args.max_exponent, args.t)
     return 0
 
 

@@ -50,7 +50,6 @@ from .weights import (
     monomial_weight,
     power_equality,
     sigma_wt,
-    slicing_decomposition_check,
     weighted_ideal_gens,
 )
 from .symbolic import (

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import mod
+from typing import Iterator
 
 from .errors import IllFormedActionError, InvalidArgumentError, ZeroPolynomialError
 from .monomials import Monomial, Polynomial
@@ -59,10 +60,6 @@ class CyclicQuotientType:
         if len(reduced) < 1:
             raise InvalidArgumentError("a quotient needs at least one coordinate")
 
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.twists)
-
 
 @dataclass(frozen=True, slots=True)
 class ChartDescription:
@@ -76,37 +73,29 @@ class ChartDescription:
     index: int
     quotient: CyclicQuotientType
     chart_map: tuple[Monomial, ...]
-    exceptional_var: int
 
 
 @dataclass(frozen=True, slots=True)
 class BlowupAtlas:
-    """All charts of one weighted blow-up plus its Cartier index.
-
-    The Cartier index is the lcm of the positive weight entries: the
-    smallest multiple of the exceptional divisor that is Cartier on every
-    chart.
-    """
+    """All charts of one weighted blow-up, one per positive weight entry."""
 
     weight: Weight
     charts: tuple[ChartDescription, ...]
-    cartier_index: int
 
     def __post_init__(self) -> None:
         k = self.weight.k
         if len(self.charts) != k:
             raise InvalidArgumentError("expected exactly one chart per positive weight entry")
-        if self.cartier_index != math.lcm(*self.weight.nonzero):
-            raise InvalidArgumentError("Cartier index must be the lcm of the positive entries")
         for pos, chart in enumerate(self.charts, start=1):
-            if chart.index != pos or chart.exceptional_var != pos:
+            if chart.index != pos:
                 raise InvalidArgumentError("charts must be listed in coordinate order")
             if chart.quotient.order != self.weight.entries[pos - 1]:
                 raise InvalidArgumentError("chart quotient order must match its weight entry")
 
     @property
-    def ambient_dim(self) -> int:
-        return self.weight.n
+    def cartier_index(self) -> int:
+        """Smallest multiple of the exceptional divisor Cartier on every chart."""
+        return cartier_index(self.weight)
 
 
 def charts(w: Weight) -> BlowupAtlas:
@@ -129,10 +118,8 @@ def charts(w: Weight) -> BlowupAtlas:
             else:
                 exps[j - 1] = 1
             images.append(Monomial(tuple(exps)))
-        descriptions.append(
-            ChartDescription(i, CyclicQuotientType(ai, twists), tuple(images), i)
-        )
-    return BlowupAtlas(w, tuple(descriptions), math.lcm(*w.nonzero))
+        descriptions.append(ChartDescription(i, CyclicQuotientType(ai, twists), tuple(images)))
+    return BlowupAtlas(w, tuple(descriptions))
 
 
 def cartier_index(w: Weight) -> int:
@@ -150,9 +137,7 @@ def reid_tai_ages(q: CyclicQuotientType) -> tuple[Fraction, ...]:
     r = q.order
     if r < 2:
         raise InvalidArgumentError("ages need a nontrivial group, order >= 2")
-    return tuple(
-        Fraction(sum((j * b) % r for b in q.twists), r) for j in range(1, r)
-    )
+    return tuple(Fraction(s, r) for s in _age_sums(r, q.twists))
 
 
 def is_terminal(q: CyclicQuotientType) -> bool:
@@ -175,10 +160,14 @@ def is_terminal(q: CyclicQuotientType) -> bool:
                 f"order {r} shares a factor with the twists off coordinate x{i + 1}, "
                 f"twists {twists}"
             )
-    # Row i lazily lists j * twist_i mod r for j = 1..r-1 (a zero twist adds
-    # nothing); summing the rows column by column gives r times each age.
+    return all(map(r.__lt__, _age_sums(r, twists)))
+
+
+def _age_sums(r: int, twists: tuple[int, ...]) -> Iterator[int]:
+    """r times each age: sum_i (j * twist_i mod r), lazily, for j = 1..r-1."""
+    # Row i lists j * twist_i mod r; zero twists add nothing but zip needs a row.
     rows = [map(mod, range(b, b * r, b), repeat(r)) for b in twists if b]
-    return all(map(r.__lt__, map(sum, zip(*rows))))
+    return map(sum, zip(*rows or [repeat(0, r - 1)]))
 
 
 def is_terminal_blowup(w: Weight) -> bool:
@@ -224,7 +213,7 @@ def pushforward_membership(w: Weight, d: int, f: Polynomial) -> bool:
     if d < 0:
         raise InvalidArgumentError(f"order must be non-negative, got {d}")
     for chart in charts(w).charts:
-        slot = chart.exceptional_var - 1
+        slot = chart.index - 1
         for m, _ in f.terms:
             if substitute_through_chart(chart, m).exponents[slot] < d:
                 return False

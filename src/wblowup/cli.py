@@ -66,8 +66,14 @@ def _document(
     }
 
 
+def _ambient_dim(args: argparse.Namespace, flag: str) -> int:
+    if args.n is None:
+        raise InvalidArgumentError(f"--n is required together with {flag}")
+    return args.n
+
+
 def _weight_inputs(args: argparse.Namespace) -> tuple:
-    w = parse_weight(args.weight, args.n)
+    w = parse_weight(args.weight, _ambient_dim(args, "--weight"))
     return w, {"weight": list(w.entries), "n": w.n}
 
 
@@ -113,9 +119,9 @@ def _cmd_symbolic(args: argparse.Namespace) -> tuple[dict, bool]:
     if args.gens is not None:
         if args.weight is not None:
             raise InvalidArgumentError("pass either --gens or --weight/--L, not both")
-        monos = [parse_monomial(text.strip(), args.n) for text in args.gens.split(",")]
-        ideal = minimalize(monos, args.n)
-        inputs: dict = {"n": args.n, "generators": [format_monomial(g) for g in ideal.generators]}
+        n = _ambient_dim(args, "--gens")
+        ideal = minimalize([parse_monomial(text.strip(), n) for text in args.gens.split(",")], n)
+        inputs: dict = {"n": n, "generators": [format_monomial(g) for g in ideal.generators]}
     elif args.weight is not None:
         if args.L is None:
             raise InvalidArgumentError("--L is required together with --weight")
@@ -149,7 +155,7 @@ def _cmd_charts(args: argparse.Namespace) -> tuple[dict, bool]:
             "index": c.index,
             "quotient": {"order": c.quotient.order, "twists": list(c.quotient.twists)},
             "map": [format_monomial(m) for m in c.chart_map],
-            "exceptional_coordinate": f"x{c.exceptional_var}",
+            "exceptional_coordinate": f"x{c.index}",
         }
         for c in atlas.charts
     ]

@@ -38,19 +38,27 @@ class PrimaryMonomialIdeal:
 
     ``radical_vars`` holds the 1-based indices of the variables generating
     the radical.  The name records the intended use; the ideal itself is
-    not required to be primary, only to have a prime monomial radical.
+    not required to be primary, only to have a prime monomial radical: the
+    variables generate rad(I) exactly when I holds a pure power of each of
+    them and of no other variable, and every generator involves one of them.
     """
 
     ideal: MonomialIdeal
     radical_vars: frozenset[int]
 
     def __post_init__(self) -> None:
-        if not self.radical_vars:
-            raise InvalidArgumentError("the radical must involve at least one variable")
-        n = self.ideal.ambient_dim
-        for i in self.radical_vars:
-            if not 1 <= i <= n:
-                raise InvalidArgumentError(f"radical variable index {i} out of range 1..{n}")
+        rad = self.radical_vars
+        pure = set()
+        for g in self.ideal.generators:
+            support = [i for i, e in enumerate(g.exponents, 1) if e]
+            if rad.isdisjoint(support):
+                break
+            if len(support) == 1:
+                pure.add(support[0])
+        else:
+            if rad and pure == rad:
+                return
+        raise InvalidArgumentError(f"variables {sorted(rad)} do not generate the ideal's radical")
 
 
 def as_primary(ideal: MonomialIdeal) -> PrimaryMonomialIdeal:
@@ -158,7 +166,7 @@ def _first_missed(
         for g in primary.ideal.generators
         if all(i in rad for i, e in enumerate(g.exponents, start=1) if e)
     ]
-    in_power = _power_membership(base, min((d for _, d in base), default=0), t)
+    in_power = _power_membership(base, min(d for _, d in base), t)
     for g in sym.generators:
         if not in_power(g.exponents, g.degree):
             return EqualityVerdict(False, g)

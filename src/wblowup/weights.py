@@ -26,9 +26,6 @@ from .monomials import (
     Polynomial,
     _ideal_from_grlex,
     _power_membership,
-    ideal_product,
-    ideals_equal,
-    minimalize,
 )
 
 __all__ = [
@@ -38,7 +35,6 @@ __all__ = [
     "weighted_ideal_gens",
     "power_equality",
     "find_normality_index",
-    "slicing_decomposition_check",
 ]
 
 
@@ -67,8 +63,6 @@ class Weight:
             raise InvalidWeightError(
                 f"positive entries must precede the zero entries, got {entries}"
             )
-        if any(e < 0 for e in entries):
-            raise InvalidWeightError(f"weight entries must be non-negative, got {entries}")
         if math.gcd(*entries[:k]) != 1:
             raise InvalidWeightError(
                 f"gcd of the positive entries must be 1, got {entries[:k]}"
@@ -244,51 +238,3 @@ def find_normality_index(w: Weight, d_max: int, L_max: int) -> Optional[int]:
         if all(power_equality(w, L, d).equal for d in range(2, d_max + 1)):
             return L
     return None
-
-
-def slicing_decomposition_check(w: Weight, d: int, j: int) -> bool:
-    """Check the two-piece decomposition of the threshold-d ideal along x_j.
-
-    Piece one: the monomials divisible by x_j should be exactly
-    x_j * (ideal of threshold d - w_j).  Piece two: the monomials free of
-    x_j should be exactly the threshold-d ideal of the weight with entry j
-    deleted, compared at the raw threshold (no gcd renormalization of the
-    smaller weight).
-    """
-    if w.n < 2:
-        raise InvalidArgumentError("slicing needs at least two variables")
-    if not 1 <= j <= w.n:
-        raise InvalidArgumentError(f"slice index {j} out of range 1..{w.n}")
-    wj = w.entries[j - 1]
-    if wj == 0:
-        raise InvalidArgumentError(f"slice index {j} has weight zero")
-    if d < 0:
-        raise InvalidArgumentError(f"threshold must be non-negative, got {d}")
-    ideal = weighted_ideal_gens(w, d)
-    xj = Monomial.variable(j, w.n)
-
-    # Piece one.  The monomials of the ideal divisible by x_j span the
-    # intersection with (x_j), generated by lcm(g, x_j) over the generators.
-    inter = minimalize(
-        (
-            Monomial(tuple(max(a, b) for a, b in zip(g.exponents, xj.exponents)))
-            for g in ideal.generators
-        ),
-        w.n,
-    )
-    shifted = _minimal_ideal(w.entries, max(d - wj, 0))
-    expected = ideal_product(MonomialIdeal(w.n, (xj,)), shifted)
-    if not ideals_equal(inter, expected):
-        return False
-
-    # Piece two.  Generators free of x_j, with coordinate j deleted, must
-    # match the raw threshold-d ideal of the punctured weight.
-    punctured_entries = w.entries[: j - 1] + w.entries[j:]
-    dropped = [
-        Monomial(g.exponents[: j - 1] + g.exponents[j:])
-        for g in ideal.generators
-        if g.exponents[j - 1] == 0
-    ]
-    left = minimalize(dropped, w.n - 1)
-    right = _minimal_ideal(punctured_entries, d)
-    return ideals_equal(left, right)

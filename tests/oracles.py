@@ -6,13 +6,16 @@ united colons instead of closed-form saturation, explicit power scans
 instead of radical membership, and formed powers instead of membership
 searches (``brute_power_equality`` for thresholds,
 ``brute_compare_symbolic_power`` for symbolic powers).  They are
-deliberately slow and simple.
+deliberately slow and simple.  ``slicing_decomposition_check`` is a
+structural identity rather than a second route: it cuts a threshold
+ideal along one variable and compares both pieces with smaller thresholds.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from wblowup.errors import InvalidArgumentError
 from wblowup.monomials import (
     EqualityVerdict,
     Monomial,
@@ -20,11 +23,13 @@ from wblowup.monomials import (
     colon,
     contains_monomial,
     ideal_power,
+    ideal_product,
+    ideals_equal,
     minimalize,
     saturate,
 )
 from wblowup.symbolic import PrimaryMonomialIdeal
-from wblowup.weights import Weight, weighted_ideal_gens
+from wblowup.weights import Weight, _minimal_ideal, weighted_ideal_gens
 
 
 def brute_box_gens(entries: tuple[int, ...], d: int) -> set[tuple[int, ...]]:
@@ -134,3 +139,51 @@ def brute_compare_symbolic_power(
         if not contains_monomial(ordinary, g):
             return sym, EqualityVerdict(False, g)
     return sym, EqualityVerdict(True, None)
+
+
+def slicing_decomposition_check(w: Weight, d: int, j: int) -> bool:
+    """Check the two-piece decomposition of the threshold-d ideal along x_j.
+
+    Piece one: the monomials divisible by x_j should be exactly
+    x_j * (ideal of threshold d - w_j).  Piece two: the monomials free of
+    x_j should be exactly the threshold-d ideal of the weight with entry j
+    deleted, compared at the raw threshold (no gcd renormalization of the
+    smaller weight).
+    """
+    if w.n < 2:
+        raise InvalidArgumentError("slicing needs at least two variables")
+    if not 1 <= j <= w.n:
+        raise InvalidArgumentError(f"slice index {j} out of range 1..{w.n}")
+    wj = w.entries[j - 1]
+    if wj == 0:
+        raise InvalidArgumentError(f"slice index {j} has weight zero")
+    if d < 0:
+        raise InvalidArgumentError(f"threshold must be non-negative, got {d}")
+    ideal = weighted_ideal_gens(w, d)
+    xj = Monomial.variable(j, w.n)
+
+    # Piece one.  The monomials of the ideal divisible by x_j span the
+    # intersection with (x_j), generated by lcm(g, x_j) over the generators.
+    inter = minimalize(
+        (
+            Monomial(tuple(max(a, b) for a, b in zip(g.exponents, xj.exponents)))
+            for g in ideal.generators
+        ),
+        w.n,
+    )
+    shifted = _minimal_ideal(w.entries, max(d - wj, 0))
+    expected = ideal_product(MonomialIdeal(w.n, (xj,)), shifted)
+    if not ideals_equal(inter, expected):
+        return False
+
+    # Piece two.  Generators free of x_j, with coordinate j deleted, must
+    # match the raw threshold-d ideal of the punctured weight.
+    punctured_entries = w.entries[: j - 1] + w.entries[j:]
+    dropped = [
+        Monomial(g.exponents[: j - 1] + g.exponents[j:])
+        for g in ideal.generators
+        if g.exponents[j - 1] == 0
+    ]
+    left = minimalize(dropped, w.n - 1)
+    right = _minimal_ideal(punctured_entries, d)
+    return ideals_equal(left, right)

@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import brute_box_gens
+from oracles import brute_box_gens, slicing_decomposition_check
 from wblowup.errors import InvalidArgumentError, RadicalNotPrimeError
 from wblowup.charts import (
     CyclicQuotientType,
@@ -35,7 +35,6 @@ from wblowup.weights import (
     monomial_weight,
     power_equality,
     sigma_wt,
-    slicing_decomposition_check,
     weighted_ideal_gens,
 )
 

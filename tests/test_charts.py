@@ -81,20 +81,17 @@ class TestCharts:
     def test_atlas_invariants_enforced(self):
         atlas = charts(Weight((2, 3)))
         with pytest.raises(InvalidArgumentError):
-            BlowupAtlas(atlas.weight, atlas.charts, 5)
-        with pytest.raises(InvalidArgumentError):
-            BlowupAtlas(atlas.weight, atlas.charts[:1], atlas.cartier_index)
+            BlowupAtlas(atlas.weight, atlas.charts[:1])
         reversed_charts = tuple(reversed(atlas.charts))
         with pytest.raises(InvalidArgumentError):
-            BlowupAtlas(atlas.weight, reversed_charts, atlas.cartier_index)
+            BlowupAtlas(atlas.weight, reversed_charts)
         wrong_order = ChartDescription(
             1,
             CyclicQuotientType(7, atlas.charts[0].quotient.twists),
             atlas.charts[0].chart_map,
-            1,
         )
         with pytest.raises(InvalidArgumentError):
-            BlowupAtlas(atlas.weight, (wrong_order, atlas.charts[1]), atlas.cartier_index)
+            BlowupAtlas(atlas.weight, (wrong_order, atlas.charts[1]))
 
 
 class TestCartierIndex:
@@ -183,7 +180,7 @@ class TestSubstitution:
         m = M(5, 4, 1)
         for chart in atlas.charts:
             image = substitute_through_chart(chart, m)
-            assert image.exponents[chart.exceptional_var - 1] == 141
+            assert image.exponents[chart.index - 1] == 141
 
     def test_dimension_mismatch(self):
         chart = charts(Weight((1, 1))).charts[0]
@@ -198,7 +195,7 @@ class TestSubstitution:
         expected = monomial_weight(w, m)
         for chart in charts(w).charts:
             image = substitute_through_chart(chart, m)
-            assert image.exponents[chart.exceptional_var - 1] == expected
+            assert image.exponents[chart.index - 1] == expected
 
     @given(st.data())
     @settings(max_examples=80)

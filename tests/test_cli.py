@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wblowup
 from wblowup.cli import main
 
 
@@ -248,8 +253,30 @@ class TestTerminal:
     def test_blowup_mode(self, capsys):
         code, doc = run(capsys, "terminal", "--json", "--weight", "1,1,2", "--n", "3")
         assert code == 0
-        assert doc["result"]["mode"] == "blowup"
-        assert doc["result"]["terminal"] is True
+        assert doc["result"] == {
+            "mode": "blowup",
+            "terminal": True,
+            "charts": [
+                {"index": 1, "order": 1, "terminal": True},
+                {"index": 2, "order": 1, "terminal": True},
+                {"index": 3, "order": 2, "terminal": True},
+            ],
+        }
+
+    def test_blowup_mode_not_terminal(self, capsys):
+        code, doc = run(
+            capsys, "terminal", "--json", "--strict", "--weight", "10,14,35", "--n", "3"
+        )
+        assert code == 1
+        assert doc["result"] == {
+            "mode": "blowup",
+            "terminal": False,
+            "charts": [
+                {"index": 1, "order": 10, "terminal": False},
+                {"index": 2, "order": 14, "terminal": False},
+                {"index": 3, "order": 35, "terminal": False},
+            ],
+        }
 
     def test_ill_formed_action(self, capsys):
         code, doc = run(
@@ -367,6 +394,60 @@ class TestErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["normality", "--weight", "1,1", "--n", "2"],
+                "pass either --L with --d, or --d-max with --L-max",
+            ),
+            (
+                ["symbolic", "--gens", "x1", "--weight", "1,1", "--n", "2", "--t", "2"],
+                "pass either --gens or --weight/--L, not both",
+            ),
+            (
+                ["symbolic", "--weight", "1,1", "--n", "2", "--t", "2"],
+                "--L is required together with --weight",
+            ),
+            (["symbolic", "--n", "2", "--t", "2"], "pass either --gens, or --weight with --L"),
+            (["terminal", "--r", "3"], "--twists is required together with --r"),
+            (["terminal", "--r", "3", "--twists", "1,a"], "malformed twists '1,a'"),
+            (["terminal"], "pass either --r with --twists, or --weight"),
+        ],
+        ids=[
+            "normality-no-mode",
+            "symbolic-gens-and-weight",
+            "symbolic-weight-no-L",
+            "symbolic-no-ideal",
+            "terminal-r-no-twists",
+            "terminal-malformed-twists",
+            "terminal-no-mode",
+        ],
+    )
+    def test_argument_combination(self, capsys, argv, message):
+        code, doc = run(capsys, *argv, "--json", "--strict")
+        assert code == 2
+        assert doc["result"] is None
+        assert doc["error"] == {"code": "INVALID_ARGUMENT", "message": message}
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["symbolic", "--gens", "x1^2,x2", "--t", "2"], "--gens"),
+            (["symbolic", "--weight", "1,1,2", "--L", "2", "--t", "2"], "--weight"),
+            (["terminal", "--weight", "1,1,2"], "--weight"),
+        ],
+        ids=["symbolic-gens", "symbolic-weight", "terminal-weight"],
+    )
+    def test_missing_n(self, capsys, argv, flag):
+        code, doc = run(capsys, *argv, "--json", "--strict")
+        assert code == 2
+        assert doc["result"] is None
+        assert doc["error"] == {
+            "code": "INVALID_ARGUMENT",
+            "message": f"--n is required together with {flag}",
+        }
+
 
 class TestHumanOutput:
     def test_wt_plain(self, capsys):
@@ -398,17 +479,41 @@ class TestHumanOutput:
         assert code == 0
         assert "[PASS] nef-value-formula" in out
 
+    def test_charts_plain(self, capsys):
+        code, out = run_text(capsys, "charts", "--weight", "1,1,3", "--n", "4")
+        assert code == 0
+        assert out.splitlines() == [
+            "cartier_index: 3",
+            "charts[]: index=1, quotient={'order': 1, 'twists': [0, 0, 0, 0]}, "
+            "map=['x1', 'x1*x2', 'x1^3*x3', 'x4'], exceptional_coordinate=x1",
+            "charts[]: index=2, quotient={'order': 1, 'twists': [0, 0, 0, 0]}, "
+            "map=['x1*x2', 'x2', 'x2^3*x3', 'x4'], exceptional_coordinate=x2",
+            "charts[]: index=3, quotient={'order': 3, 'twists': [2, 2, 1, 0]}, "
+            "map=['x1*x3', 'x2*x3', 'x3^3', 'x4'], exceptional_coordinate=x3",
+        ]
+
+    def test_terminal_blowup_plain(self, capsys):
+        code, out = run_text(capsys, "terminal", "--weight", "1,1,2", "--n", "3")
+        assert code == 0
+        assert out.splitlines() == [
+            "mode: blowup",
+            "terminal: True",
+            "charts[]: index=1, order=1, terminal=True",
+            "charts[]: index=2, order=1, terminal=True",
+            "charts[]: index=3, order=2, terminal=True",
+        ]
+
     def test_error_plain(self, capsys):
         code, out = run_text(capsys, "ideal", "--weight", "2,4", "--n", "2", "--d", "1")
         assert code == 2
         assert out.startswith("error[INVALID_WEIGHT]")
 
 
+_CI_IDEAL = "x1^6,x2^5,x3^4,x1^2*x4^12,x2*x3*x5^11,x1*x2*x4^3*x5^7"
+
+
 class TestConsoleScript:
     def test_module_entry_point(self):
-        import subprocess
-        import sys
-
         proc = subprocess.run(
             [sys.executable, "-m", "wblowup.cli", "wt", "--weight", "1,1", "--n", "2", "x1"],
             capture_output=True,
@@ -416,3 +521,46 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "sigma_wt: 1"
+
+    @pytest.mark.parametrize(
+        "argv, exit_code, witness, summary",
+        [
+            (
+                ["normality", "--strict", "--weight", "10,14,35", "--n", "3"]
+                + ["--L", "70", "--d", "2"],
+                1,
+                "x1^5*x2^4*x3",
+                {"mode": "check", "verdict": "NOT_EQUAL"},
+            ),
+            (
+                ["symbolic", "--gens", _CI_IDEAL, "--n", "5", "--t", "4"],
+                0,
+                "x1^8",
+                {"radical_vars": [1, 2, 3], "symbolic_generators": 41, "verdict": "NOT_EQUAL"},
+            ),
+            (
+                ["symbolic", "--gens", _CI_IDEAL, "--n", "5", "--t", "8"],
+                0,
+                "x1^16",
+                {"radical_vars": [1, 2, 3], "symbolic_generators": 145, "verdict": "NOT_EQUAL"},
+            ),
+        ],
+        ids=["normality-strict", "symbolic-t4", "symbolic-t8"],
+    )
+    def test_optimized_interpreter(self, argv, exit_code, witness, summary):
+        # Under python -O asserts are stripped, so every invariant the
+        # answer depends on has to be an explicit raise.
+        src = str(Path(wblowup.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "wblowup.cli", *argv, "--json"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == exit_code, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["witnesses"] == [witness]
+        result = doc["result"]
+        if "symbolic_generators" in result:
+            result["symbolic_generators"] = len(result["symbolic_generators"])
+        assert result == summary

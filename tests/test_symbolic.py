@@ -67,6 +67,8 @@ class TestAsPrimary:
             PrimaryMonomialIdeal(I(M(1, 0)), frozenset())
         with pytest.raises(InvalidArgumentError):
             PrimaryMonomialIdeal(I(M(1, 0)), frozenset({3}))
+        with pytest.raises(InvalidArgumentError):
+            PrimaryMonomialIdeal(MonomialIdeal.zero(2), frozenset())
 
 
 class TestSymbolicPower:
@@ -122,14 +124,22 @@ class TestSymbolicPower:
             for t in (2, 3):
                 assert symbolic_equals_ordinary(primary, t).equal, (b, k, t)
 
-    def test_radical_given_directly_matches_oracle(self):
-        # No generator of (x1*x2) is supported on the stated radical {1}, so
-        # the search has no factor to try and the first generator is missed.
-        primary = PrimaryMonomialIdeal(I(M(1, 1)), frozenset({1}))
-        for t in (1, 2, 3):
-            sym, verdict = compare_symbolic_power(primary, t)
-            assert (sym, verdict) == brute_compare_symbolic_power(primary, t)
-            assert verdict.witness == M(t, 0)
+    def test_radical_given_directly_must_be_the_radical(self):
+        # (x1*x2) has the radical (x1*x2), not (x1): no pure power of x1.
+        with pytest.raises(InvalidArgumentError):
+            PrimaryMonomialIdeal(I(M(1, 1)), frozenset({1}))
+        # (x1^2, x2^3) has the radical (x1, x2), not (x1): a pure power of x2.
+        with pytest.raises(InvalidArgumentError):
+            PrimaryMonomialIdeal(I(M(2, 0), M(0, 3)), frozenset({1}))
+        # (x1, x2^2*x3) with {1, 3}: no pure power of x3.
+        with pytest.raises(InvalidArgumentError):
+            PrimaryMonomialIdeal(I(M(1, 0, 0), M(0, 2, 1)), frozenset({1, 3}))
+        # (x1^2, x2^2, x3*x4) with {1, 2}: x3*x4 involves neither.
+        mixed = I(M(2, 0, 0, 0), M(0, 2, 0, 0), M(0, 0, 1, 1))
+        with pytest.raises(InvalidArgumentError):
+            PrimaryMonomialIdeal(mixed, frozenset({1, 2}))
+        primary = PrimaryMonomialIdeal(I(M(2, 0, 0), M(1, 0, 5)), frozenset({1}))
+        assert primary == as_primary(primary.ideal)
 
     def test_last_factor_is_tested_by_divisibility(self):
         # Saturating (x2, x1*x3, x3^2) off x1 gives (x2, x3).  x2*x3 has the

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_box_gens, brute_power_equality
+from oracles import brute_box_gens, brute_power_equality, slicing_decomposition_check
 from strategies import monomials, polynomials, weights
 from wblowup.errors import (
     InvalidArgumentError,
@@ -31,7 +31,6 @@ from wblowup.weights import (
     monomial_weight,
     power_equality,
     sigma_wt,
-    slicing_decomposition_check,
     weighted_ideal_gens,
 )
 
