@@ -70,7 +70,6 @@ from .charts import (
     is_terminal_blowup,
     pushforward_membership,
     reid_tai_ages,
-    substitute_through_chart,
 )
 from .contraction import (
     CheckResult,

@@ -6,7 +6,9 @@ entry.  Chart i is the quotient of affine n-space by a cyclic group of
 order a_i acting diagonally with twists (-a1, ..., 1, ..., -ak, 0, ..., 0)
 (the 1 sits in slot i, everything reduced mod a_i), and the blow-down map
 is the monomial substitution recorded in ``chart_map``.  The exceptional
-divisor is cut out by the i-th chart coordinate.
+divisor is cut out by the i-th chart coordinate, and a polynomial vanishes
+along it to the order of its weighted degree, so ``pushforward_membership``
+answers by ``sigma_wt``; tests/oracles.py checks this chart by chart.
 
 Terminality of a cyclic quotient is decided by the Reid-Tai criterion:
 every nontrivial group element must have age strictly greater than 1,
@@ -24,7 +26,7 @@ from typing import Iterator
 
 from .errors import IllFormedActionError, InvalidArgumentError, ZeroPolynomialError
 from .monomials import Monomial, Polynomial
-from .weights import Weight
+from .weights import Weight, sigma_wt
 
 __all__ = [
     "CyclicQuotientType",
@@ -35,7 +37,6 @@ __all__ = [
     "reid_tai_ages",
     "is_terminal",
     "is_terminal_blowup",
-    "substitute_through_chart",
     "pushforward_membership",
     "discrepancy",
 ]
@@ -175,34 +176,15 @@ def is_terminal_blowup(w: Weight) -> bool:
     return all(is_terminal(chart.quotient) for chart in charts(w).charts)
 
 
-def substitute_through_chart(chart: ChartDescription, m: Monomial) -> Monomial:
-    """Image of a monomial under the chart substitution.
-
-    Monomials map to monomials: output exponents are the integer linear
-    combination of the chart map exponents, so no coefficients appear and
-    distinct terms stay distinct.
-    """
-    n = len(chart.chart_map)
-    if m.ambient_dim != n:
-        raise InvalidArgumentError(
-            f"monomial lives in {m.ambient_dim} variables, chart in {n}"
-        )
-    out = [0] * n
-    for s, image in zip(m.exponents, chart.chart_map):
-        if s:
-            for idx, e in enumerate(image.exponents):
-                if e:
-                    out[idx] += s * e
-    return Monomial(tuple(out))
-
-
 def pushforward_membership(w: Weight, d: int, f: Polynomial) -> bool:
     """Does f vanish to order >= d along the exceptional divisor?
 
-    Decided chart by chart: substitute the chart map into f and require the
-    d-th power of the exceptional coordinate to divide every resulting
-    term.  This never consults the weighted degree directly, so it serves
-    as an independent membership route.
+    The order of f along E is its weighted degree.  On chart i the
+    blow-down map sends x_i to u_i^(a_i), each other x_j with a_j > 0 to
+    u_j * u_i^(a_j) and each x_j with a_j = 0 to u_j, so u_i divides the
+    image of x^s exactly sum_j a_j * s_j = wt(x^s) times.  The substitution is injective on
+    monomials, so no terms of f cancel, and the order of f along E is the
+    minimum of wt over its terms: f qualifies iff sigma_wt(w, f) >= d.
     """
     if f.ambient_dim != w.n:
         raise InvalidArgumentError(
@@ -212,12 +194,7 @@ def pushforward_membership(w: Weight, d: int, f: Polynomial) -> bool:
         raise ZeroPolynomialError("the zero polynomial has no vanishing order")
     if d < 0:
         raise InvalidArgumentError(f"order must be non-negative, got {d}")
-    for chart in charts(w).charts:
-        slot = chart.index - 1
-        for m, _ in f.terms:
-            if substitute_through_chart(chart, m).exponents[slot] < d:
-                return False
-    return True
+    return sigma_wt(w, f) >= d
 
 
 def discrepancy(w: Weight) -> int:

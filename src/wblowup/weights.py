@@ -54,11 +54,11 @@ class Weight:
         object.__setattr__(self, "entries", entries)
         if len(entries) < 1:
             raise InvalidWeightError("a weight needs at least one entry")
-        k = 0
-        while k < len(entries) and entries[k] > 0:
-            k += 1
+        k = self.k
         if k == 0:
             raise InvalidWeightError("leading weight entries must be positive")
+        if min(entries) < 0:
+            raise InvalidWeightError(f"weight entries must be non-negative, got {entries}")
         if any(e != 0 for e in entries[k:]):
             raise InvalidWeightError(
                 f"positive entries must precede the zero entries, got {entries}"
@@ -77,7 +77,7 @@ class Weight:
         """Number of positive entries."""
         count = 0
         for e in self.entries:
-            if e == 0:
+            if e <= 0:
                 break
             count += 1
         return count

@@ -3,11 +3,13 @@
 Each oracle recomputes a library answer along an independent route:
 exhaustive lattice enumeration instead of pruned search, iterated or
 united colons instead of closed-form saturation, explicit power scans
-instead of radical membership, and formed powers instead of membership
+instead of radical membership, formed powers instead of membership
 searches (``brute_power_equality`` for thresholds,
-``brute_compare_symbolic_power`` for symbolic powers).  They are
-deliberately slow and simple.  ``slicing_decomposition_check`` is a
-structural identity rather than a second route: it cuts a threshold
+``brute_compare_symbolic_power`` for symbolic powers), and chart
+substitutions instead of the weighted degree
+(``brute_pushforward_membership`` over ``substitute_through_chart``).
+They are deliberately slow and simple.  ``slicing_decomposition_check``
+is a structural identity rather than a second route: it cuts a threshold
 ideal along one variable and compares both pieces with smaller thresholds.
 """
 
@@ -15,11 +17,13 @@ from __future__ import annotations
 
 import itertools
 
+from wblowup.charts import ChartDescription, charts
 from wblowup.errors import InvalidArgumentError
 from wblowup.monomials import (
     EqualityVerdict,
     Monomial,
     MonomialIdeal,
+    Polynomial,
     colon,
     contains_monomial,
     ideal_power,
@@ -187,3 +191,39 @@ def slicing_decomposition_check(w: Weight, d: int, j: int) -> bool:
     left = minimalize(dropped, w.n - 1)
     right = _minimal_ideal(punctured_entries, d)
     return ideals_equal(left, right)
+
+
+def substitute_through_chart(chart: ChartDescription, m: Monomial) -> Monomial:
+    """Image of a monomial under the chart substitution.
+
+    Monomials map to monomials: output exponents are the integer linear
+    combination of the chart map exponents, so no coefficients appear and
+    distinct terms stay distinct.
+    """
+    n = len(chart.chart_map)
+    if m.ambient_dim != n:
+        raise InvalidArgumentError(
+            f"monomial lives in {m.ambient_dim} variables, chart in {n}"
+        )
+    out = [0] * n
+    for s, image in zip(m.exponents, chart.chart_map):
+        if s:
+            for idx, e in enumerate(image.exponents):
+                if e:
+                    out[idx] += s * e
+    return Monomial(tuple(out))
+
+
+def brute_pushforward_membership(w: Weight, d: int, f: Polynomial) -> bool:
+    """Vanishing order >= d along the exceptional divisor, chart by chart.
+
+    Substitutes the chart map into every term of f and requires the d-th
+    power of the exceptional coordinate to divide each image, on every
+    chart; the weighted degree is never consulted.
+    """
+    for chart in charts(w).charts:
+        slot = chart.index - 1
+        for m, _ in f.terms:
+            if substitute_through_chart(chart, m).exponents[slot] < d:
+                return False
+    return True

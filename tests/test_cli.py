@@ -334,6 +334,36 @@ class TestPush:
         assert code == 2
         assert doc["error"]["code"] == "ZERO_POLYNOMIAL"
 
+    @pytest.mark.parametrize("d, member", [(141, True), (142, False)])
+    def test_later_term_decides(self, capsys, d, member):
+        # x1^15 has weight 150, x1^5*x2^4*x3 has weight 141: only the
+        # minimum over the terms counts.
+        argv = ["push", "--weight", "10,14,35", "--n", "3", "--d", str(d)]
+        argv.append("x1^15 + x1^5*x2^4*x3")
+        code, doc = run(capsys, *argv, "--json")
+        assert code == 0
+        assert doc["inputs"]["polynomial"] == "x1^5*x2^4*x3 + x1^15"
+        assert doc["result"] == {"member": member}
+        code, out = run_text(capsys, *argv)
+        assert code == 0
+        assert out == f"member: {member}\n"
+
+    @pytest.mark.parametrize(
+        "polynomial, code, message",
+        [
+            ("x1 - x1", "ZERO_POLYNOMIAL", "the zero polynomial has no vanishing order"),
+            ("x1", "INVALID_ARGUMENT", "order must be non-negative, got -1"),
+        ],
+        ids=["zero-before-order", "negative-order"],
+    )
+    def test_error_precedence(self, capsys, polynomial, code, message):
+        exit_code, doc = run(
+            capsys, "push", "--json", "--weight", "10,14,35", "--n", "3", "--d", "-1", polynomial
+        )
+        assert exit_code == 2
+        assert doc["result"] is None
+        assert doc["error"] == {"code": code, "message": message}
+
 
 class TestProfile:
     def test_document(self, capsys):
@@ -372,6 +402,14 @@ class TestErrors:
         assert code == 2
         assert doc["error"]["code"] == "INVALID_WEIGHT"
         assert doc["result"] is None
+
+    def test_negative_weight_entry(self, capsys):
+        code, doc = run(capsys, "ideal", "--json", "--weight", "1,-1", "--n", "2", "--d", "2")
+        assert code == 2
+        assert doc["error"] == {
+            "code": "INVALID_WEIGHT",
+            "message": "weight entries must be non-negative, got (1, -1)",
+        }
 
     def test_parse_error(self, capsys):
         code, doc = run(

@@ -49,12 +49,16 @@ class TestWeight:
     def test_rejects_bad_shapes(self):
         with pytest.raises(InvalidWeightError):
             Weight(())
-        with pytest.raises(InvalidWeightError):
+        with pytest.raises(InvalidWeightError, match="leading weight entries must be positive"):
             Weight((0, 1))
-        with pytest.raises(InvalidWeightError):
+        with pytest.raises(InvalidWeightError, match="leading weight entries must be positive"):
+            Weight((-1, 2))
+        with pytest.raises(InvalidWeightError, match="precede the zero entries"):
             Weight((1, 0, 2))
-        with pytest.raises(InvalidWeightError):
+        with pytest.raises(InvalidWeightError, match=r"non-negative, got \(2, -1\)"):
             Weight((2, -1))
+        with pytest.raises(InvalidWeightError, match="non-negative"):
+            Weight((1, 0, -1))
 
     def test_rejects_common_factor(self):
         with pytest.raises(InvalidWeightError):
