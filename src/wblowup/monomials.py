@@ -4,7 +4,9 @@ The ambient ring is C[x1, ..., xn] for a fixed n; variables are indexed
 1-based throughout.  A monomial is an exponent tuple, a polynomial maps
 monomials to nonzero exact rational coefficients, and a monomial ideal is
 stored by its minimal monomial generating set, which is an antichain under
-divisibility and is unique.
+divisibility and is unique.  The constructors put every value in canonical
+form (like terms combined and sorted, generators minimal and sorted), so
+``==`` on values is equality of polynomials and of ideals.
 
 All values are immutable and every operation is a pure function, so values
 can be shared freely (including across threads).
@@ -14,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le, sub
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from operator import le, mul, sub
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InvalidArgumentError
 
 __all__ = [
     "Monomial",
@@ -53,9 +55,9 @@ class Monomial:
         exps = tuple(self.exponents)
         object.__setattr__(self, "exponents", exps)
         if len(exps) < 1:
-            raise ValueError("ambient dimension must be at least 1")
+            raise InvalidArgumentError("ambient dimension must be at least 1")
         if min(exps) < 0:
-            raise ValueError(f"negative exponent in {exps}")
+            raise InvalidArgumentError(f"negative exponent in {exps}")
 
     @classmethod
     def one(cls, ambient_dim: int) -> "Monomial":
@@ -65,7 +67,7 @@ class Monomial:
     def variable(cls, index: int, ambient_dim: int) -> "Monomial":
         """The monomial x_index; indices are 1-based."""
         if not 1 <= index <= ambient_dim:
-            raise ValueError(f"variable index {index} out of range 1..{ambient_dim}")
+            raise InvalidArgumentError(f"variable index {index} out of range 1..{ambient_dim}")
         return cls(tuple(1 if i == index - 1 else 0 for i in range(ambient_dim)))
 
     @property
@@ -87,7 +89,7 @@ class Monomial:
 
     def __pow__(self, e: int) -> "Monomial":
         if e < 0:
-            raise ValueError("monomial powers must be non-negative")
+            raise InvalidArgumentError("monomial powers must be non-negative")
         return Monomial(tuple(s * e for s in self.exponents))
 
 
@@ -107,10 +109,10 @@ Coefficient = Union[int, Fraction]
 class Polynomial:
     """Finite sum of monomials with nonzero exact rational coefficients.
 
-    Terms are kept sorted by :func:`grlex_key`, so equal polynomials compare
-    equal structurally.  The zero polynomial is the empty term tuple; build
-    values through :meth:`from_terms`, which combines duplicates and drops
-    zero coefficients.
+    The constructor combines like terms, drops those that cancel and sorts
+    the rest by :func:`grlex_key`, so equal polynomials compare equal.  The
+    zero polynomial is the empty term tuple.  A term given with coefficient
+    0 is refused; :meth:`from_terms` skips such terms instead.
     """
 
     ambient_dim: int
@@ -118,11 +120,15 @@ class Polynomial:
 
     def __post_init__(self) -> None:
         if self.ambient_dim < 1:
-            raise ValueError("ambient dimension must be at least 1")
+            raise InvalidArgumentError("ambient dimension must be at least 1")
+        acc: dict[Monomial, Fraction] = {}
         for m, c in self.terms:
             _same_dim(m.ambient_dim, self.ambient_dim)
             if c == 0:
-                raise ValueError("zero coefficient stored in a polynomial term")
+                raise InvalidArgumentError("zero coefficient stored in a polynomial term")
+            acc[m] = acc.get(m, 0) + Fraction(c)
+        terms = sorted(((m, c) for m, c in acc.items() if c), key=lambda t: grlex_key(t[0]))
+        object.__setattr__(self, "terms", tuple(terms))
 
     @classmethod
     def from_terms(
@@ -131,13 +137,7 @@ class Polynomial:
         ambient_dim: int,
     ) -> "Polynomial":
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Monomial, Fraction] = {}
-        for m, c in items:
-            acc[m] = acc.get(m, Fraction(0)) + Fraction(c)
-        cleaned = tuple(
-            sorted(((m, c) for m, c in acc.items() if c != 0), key=lambda t: grlex_key(t[0]))
-        )
-        return cls(ambient_dim, cleaned)
+        return cls(ambient_dim, tuple((m, c) for m, c in items if c != 0))
 
     @classmethod
     def from_monomial(cls, m: Monomial, coefficient: Coefficient = 1) -> "Polynomial":
@@ -167,23 +167,26 @@ class Polynomial:
 
 @dataclass(frozen=True, slots=True)
 class MonomialIdeal:
-    """A monomial ideal, stored by generators in canonical grlex order.
+    """A monomial ideal, stored by its minimal generators in grlex order.
 
-    The empty generator tuple is the zero ideal; the single generator 1 is
-    the unit ideal.  Construct through :func:`minimalize` unless the
-    generators are already known to be an antichain under divisibility.
+    The constructor accepts any generating set and keeps its
+    divisibility-minimal members, so equal ideals compare equal.  The empty
+    generator tuple is the zero ideal; the single generator 1 is the unit
+    ideal.
     """
 
     ambient_dim: int
     generators: tuple[Monomial, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.ambient_dim < 1:
-            raise ValueError("ambient dimension must be at least 1")
+        by_exps: dict[tuple[int, ...], Monomial] = {}
         for g in self.generators:
             _same_dim(g.ambient_dim, self.ambient_dim)
-        ordered = tuple(sorted(set(self.generators), key=grlex_key))
-        object.__setattr__(self, "generators", ordered)
+            by_exps[g.exponents] = g
+        if self.ambient_dim < 1:
+            raise InvalidArgumentError("ambient dimension must be at least 1")
+        kept = tuple(by_exps[e] for e in _grlex_antichain(by_exps))
+        object.__setattr__(self, "generators", kept)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "MonomialIdeal":
@@ -223,23 +226,21 @@ def divides(m1: Monomial, m2: Monomial) -> bool:
 
 
 def minimalize(gens: Iterable[Monomial], ambient_dim: Optional[int] = None) -> MonomialIdeal:
-    """Minimal generating set of the ideal generated by ``gens``.
+    """The ideal generated by ``gens``, on its minimal generators.
 
-    Keeps exactly the divisibility-minimal monomials.  ``ambient_dim`` is
-    required when ``gens`` is empty (the zero ideal of that ring).
+    ``ambient_dim`` defaults to that of the first generator and is required
+    when ``gens`` is empty (the zero ideal of that ring).
     """
-    pool = list(gens)
+    pool = tuple(gens)
     if ambient_dim is None:
         if not pool:
-            raise ValueError("ambient_dim is required for an empty generating set")
+            raise InvalidArgumentError("ambient_dim is required for an empty generating set")
         ambient_dim = pool[0].ambient_dim
-    for g in pool:
-        _same_dim(g.ambient_dim, ambient_dim)
-    return _ideal_from_grlex(ambient_dim, _grlex_antichain({g.exponents for g in pool}))
+    return MonomialIdeal(ambient_dim, pool)
 
 
-def _grlex_antichain(exps: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The divisibility-minimal tuples of the set ``exps``, in grlex order."""
+def _grlex_antichain(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The divisibility-minimal tuples among the distinct ``exps``, in grlex order."""
     # Grlex order: lex descending, then a stable sort by degree.  Any divisor
     # of e is ranked before e, so one pass works.
     ordered = sorted(exps, reverse=True)
@@ -254,11 +255,11 @@ def _grlex_antichain(exps: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
 def _ideal_from_grlex(ambient_dim: int, exps: Iterable[tuple[int, ...]]) -> MonomialIdeal:
     """The ideal of exponent tuples that are distinct, minimal and in grlex order.
 
-    Skips the deduplicating sort of the public constructor; each tuple must
-    have length ``ambient_dim``.
+    The one path that skips the constructor, for kernel output that is
+    already canonical; each tuple must have length ``ambient_dim``.
     """
     if ambient_dim < 1:
-        raise ValueError("ambient dimension must be at least 1")
+        raise InvalidArgumentError("ambient dimension must be at least 1")
     ideal = object.__new__(MonomialIdeal)
     object.__setattr__(ideal, "ambient_dim", ambient_dim)
     object.__setattr__(ideal, "generators", tuple(map(Monomial, exps)))
@@ -279,7 +280,7 @@ def ideal_product(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal:
 def ideal_power(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
     """d-th power; the 0-th power is the unit ideal."""
     if d < 0:
-        raise ValueError("ideal powers must have non-negative exponent")
+        raise InvalidArgumentError("ideal powers must have non-negative exponent")
     if d == 0:
         return MonomialIdeal.unit(ideal.ambient_dim)
     acc = ideal
@@ -288,35 +289,41 @@ def ideal_power(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
     return acc
 
 
-def _power_membership(
-    base: Sequence[tuple[tuple[int, ...], int]], floor: int, t: int, threshold: bool = False
-) -> Callable[[tuple[int, ...], int], bool]:
-    """Membership in the t-th power of an ideal, without forming the power.
+def _power_verdict(
+    target: MonomialIdeal, base: Sequence[Monomial], a: Sequence[int], t: int, threshold: bool
+) -> EqualityVerdict:
+    """Whether ``target`` lies in the t-th power of the ideal generated by ``base``.
 
-    ``base`` lists the generators that may serve as factors, each with its
-    value under a linear weight that is at least ``floor`` on every one of
-    them.  The returned ``in_power(e, weight)`` says whether the monomial e
-    of that weight is a product of t base generators times a monomial.
-    For t > 1 that holds when some h in the base divides e with e / h in
-    the (t-1)-th power; branches whose remaining weight falls below
-    (t-1)*floor are cut, and answers are memoised on (e, t) for the life
-    of the returned function.  The last factor is tested by divisibility,
-    unless ``threshold`` says the base is every minimal monomial of weight
-    >= floor: then any rest of weight >= floor is a member, so the cut
-    alone decides it.
+    The power is never formed, and the generators of ``target`` are walked
+    in grlex order, so a NOT_EQUAL witness is the first one the power
+    misses.  All generators must involve only the first len(a) variables,
+    which carry the linear weight ``a``; let floor be the least weight in
+    the base.  A monomial e lies in the t-th power when some base generator
+    h divides e with e / h in the (t-1)-th power (for t = 1, when some h
+    divides e).  A rest weighing less than (t-1)*floor is cut, as no product
+    of t-1 base generators weighs less, and answers are memoised on (e, t)
+    for the one call.  With ``threshold`` the base is every minimal monomial
+    of weight >= L for some L, and the last factor is not tested: a rest
+    that passes the cut weighs at least floor >= L, so it is a member.  The
+    cut drops no member either: a rest of weight >= L lies in the
+    threshold-L ideal, so some base generator divides it, and so its weight
+    is at least floor.
     """
+    k = len(a)
+    factors = [(h.exponents[:k], sum(map(mul, a, h.exponents))) for h in base]
+    floor = min(weight for _, weight in factors)
     memo: dict[tuple[tuple[int, ...], int], bool] = {}
 
     def in_first(e: tuple[int, ...]) -> bool:
-        return any(all(map(le, h, e)) for h, _ in base)
+        return any(all(map(le, h, e)) for h, _ in factors)
 
-    def in_power(e: tuple[int, ...], weight: int) -> bool:
+    def in_power(e: tuple[int, ...]) -> bool:
         if t == 1:
             return in_first(e)
         # Depth first over one generator per factor.  Each frame holds a
         # monomial, its weight, its power and its untried generators; an
         # explicit stack keeps a large t clear of the recursion limit.
-        stack = [(e, weight, t, iter(base))]
+        stack = [(e, sum(map(mul, a, e)), t, iter(factors))]
         while stack:
             e, weight, s, untried = stack[-1]
             for h, h_weight in untried:
@@ -329,7 +336,7 @@ def _power_membership(
                     rest = tuple(map(sub, e, h))
                     found = memo.get((rest, s - 1))
                     if found is None:
-                        stack.append((rest, rest_weight, s - 1, iter(base)))
+                        stack.append((rest, rest_weight, s - 1, iter(factors)))
                         break
                 if found:
                     # Every monomial on the stack is a member through this one.
@@ -341,7 +348,10 @@ def _power_membership(
                 stack.pop()
         return False
 
-    return in_power
+    for g in target.generators:
+        if not in_power(g.exponents[:k]):
+            return EqualityVerdict(False, g)
+    return EqualityVerdict(True, None)
 
 
 def contains_monomial(ideal: MonomialIdeal, m: Monomial) -> bool:
@@ -393,8 +403,6 @@ def radical(ideal: MonomialIdeal) -> MonomialIdeal:
 
 
 def ideals_equal(left: MonomialIdeal, right: MonomialIdeal) -> bool:
-    """Equality by mutual generator membership (robust to generator order)."""
+    """Equality of ideals in one ring: canonical generators make it ``==``."""
     _same_dim(left.ambient_dim, right.ambient_dim)
-    return all(contains_monomial(right, g) for g in left.generators) and all(
-        contains_monomial(left, g) for g in right.generators
-    )
+    return left == right

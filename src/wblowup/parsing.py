@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import InvalidWeightError, PolynomialSyntaxError
+from .errors import InvalidArgumentError, InvalidWeightError, PolynomialSyntaxError
 from .monomials import Monomial, Polynomial
 from .weights import Weight
 
@@ -160,7 +160,7 @@ def parse_polynomial(text: str, ambient_dim: int) -> Polynomial:
     responsible for rejecting it.
     """
     if ambient_dim < 1:
-        raise InvalidWeightError("ambient dimension must be at least 1")
+        raise InvalidArgumentError("ambient dimension must be at least 1")
     return _Parser(text, ambient_dim).parse_polynomial()
 
 

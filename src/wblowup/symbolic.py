@@ -16,7 +16,7 @@ from .monomials import (
     EqualityVerdict,
     Monomial,
     MonomialIdeal,
-    _power_membership,
+    _power_verdict,
     contains_monomial,
     ideal_power,
     radical,
@@ -162,12 +162,8 @@ def _first_missed(
     """EQUAL, or NOT_EQUAL with the first generator of ``sym`` outside I^t."""
     rad = primary.radical_vars
     base = [
-        (g.exponents, g.degree)
+        g
         for g in primary.ideal.generators
         if all(i in rad for i, e in enumerate(g.exponents, start=1) if e)
     ]
-    in_power = _power_membership(base, min(d for _, d in base), t)
-    for g in sym.generators:
-        if not in_power(g.exponents, g.degree):
-            return EqualityVerdict(False, g)
-    return EqualityVerdict(True, None)
+    return _power_verdict(sym, base, (1,) * primary.ideal.ambient_dim, t, threshold=False)

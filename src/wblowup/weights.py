@@ -25,7 +25,7 @@ from .monomials import (
     MonomialIdeal,
     Polynomial,
     _ideal_from_grlex,
-    _power_membership,
+    _power_verdict,
 )
 
 __all__ = [
@@ -194,15 +194,15 @@ def power_equality(w: Weight, L: int, d: int) -> EqualityVerdict:
 
     The inclusion power <= scaled-threshold holds by construction: a product
     of d monomials of weight >= L has weight >= d*L.  The reverse inclusion
-    is decided generator by generator without forming the power, by the
-    membership search shared with the symbolic powers
-    (``monomials._power_membership``), with the weight as its linear weight
-    and L as the floor.  The search may take its last factor for granted
-    once the rest has weight >= L, because the threshold-L ideal holds
-    every monomial of weight >= L; for a general ideal it tests that factor
-    by divisibility.  The generators of the scaled-threshold ideal are
-    walked in grlex order, so on NOT_EQUAL the witness is the first one the
-    power misses.
+    is decided without forming the power, by the membership search shared
+    with the symbolic powers (``monomials._power_verdict``), with the weight
+    as its linear weight.  Branches are cut below t times the least weight
+    of a generator of the threshold-L ideal, and the search takes its last
+    factor for granted once the rest passes that cut, because the
+    threshold-L ideal holds every monomial of weight >= L; for a general
+    ideal it tests that factor by divisibility.  The generators of the
+    scaled-threshold ideal are walked in grlex order, so on NOT_EQUAL the
+    witness is the first one the power misses.
     """
     if L < 1:
         raise InvalidArgumentError(f"threshold L must be positive, got {L}")
@@ -210,18 +210,9 @@ def power_equality(w: Weight, L: int, d: int) -> EqualityVerdict:
         raise InvalidArgumentError(f"power exponent must be positive, got {d}")
     if d == 1:
         return EqualityVerdict(True, None)
-    # Generators involve only the positive-weight variables, so the search
-    # runs on exponent vectors truncated to those.
-    k = w.k
-    base = [
-        (g.exponents[:k], monomial_weight(w, g))
-        for g in weighted_ideal_gens(w, L).generators
-    ]
-    in_power = _power_membership(base, L, d, threshold=True)
-    for g in weighted_ideal_gens(w, d * L).generators:
-        if not in_power(g.exponents[:k], monomial_weight(w, g)):
-            return EqualityVerdict(False, g)
-    return EqualityVerdict(True, None)
+    # Generators involve only the positive-weight variables.
+    base = weighted_ideal_gens(w, L).generators
+    return _power_verdict(weighted_ideal_gens(w, d * L), base, w.nonzero, d, threshold=True)
 
 
 def find_normality_index(w: Weight, d_max: int, L_max: int) -> Optional[int]:

@@ -411,6 +411,15 @@ class TestErrors:
             "message": "weight entries must be non-negative, got (1, -1)",
         }
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_non_positive_ambient_dimension(self, capsys, n):
+        code, doc = run(capsys, "symbolic", "--json", "--gens", "x1", "--n", n, "--t", "2")
+        assert code == 2
+        assert doc["error"] == {
+            "code": "INVALID_ARGUMENT",
+            "message": "ambient dimension must be at least 1",
+        }
+
     def test_parse_error(self, capsys):
         code, doc = run(
             capsys, "wt", "--json", "--weight", "1,1", "--n", "2", "2x1"

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_has_power_in, brute_saturate
-from strategies import ideals, monomials
-from wblowup.errors import DimensionMismatchError
+from strategies import ideals, monomials, weights
+from wblowup.charts import pushforward_membership
+from wblowup.errors import DimensionMismatchError, InvalidArgumentError, ZeroPolynomialError
 from wblowup.monomials import (
     Monomial,
     MonomialIdeal,
@@ -27,6 +28,7 @@ from wblowup.monomials import (
     radical,
     saturate,
 )
+from wblowup.weights import Weight, sigma_wt, weighted_ideal_gens
 
 
 def M(*exps: int) -> Monomial:
@@ -59,6 +61,14 @@ class TestMonomial:
         with pytest.raises(ValueError):
             Monomial.variable(4, 3)
 
+    def test_errors_carry_a_code(self):
+        with pytest.raises(InvalidArgumentError) as negative:
+            Monomial((1, -1))
+        with pytest.raises(InvalidArgumentError) as zero_coefficient:
+            Polynomial(2, ((M(1, 0), Fraction(0)),))
+        assert negative.value.code == "INVALID_ARGUMENT"
+        assert zero_coefficient.value.code == "INVALID_ARGUMENT"
+
 
 class TestPolynomial:
     def test_like_terms_combine(self):
@@ -78,6 +88,25 @@ class TestPolynomial:
     def test_zero_coefficient_rejected(self):
         with pytest.raises(ValueError):
             Polynomial(2, ((M(1, 0), Fraction(0)),))
+
+    def test_cancelling_terms_give_zero(self):
+        f = Polynomial(1, ((M(1), 1), (M(1), -1)))
+        assert f.is_zero()
+        assert contains(MonomialIdeal.zero(1), f)
+        with pytest.raises(ZeroPolynomialError):
+            sigma_wt(Weight((1,)), f)
+        with pytest.raises(ZeroPolynomialError):
+            pushforward_membership(Weight((1,)), 1, f)
+
+    @given(st.data(), st.integers(1, 3))
+    @settings(max_examples=150)
+    def test_matches_from_terms(self, data, n):
+        coefficients = st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=3)
+        terms = data.draw(
+            st.lists(st.tuples(monomials(n=n, max_exp=2), coefficients.filter(bool)), max_size=8)
+        )
+        terms = data.draw(st.permutations(terms + terms[: len(terms) // 2]))
+        assert Polynomial(n, tuple(terms)) == Polynomial.from_terms(terms, n)
 
 
 class TestDivides:
@@ -117,13 +146,13 @@ class TestMinimalize:
     @given(st.data(), st.integers(1, 4))
     @settings(max_examples=150)
     def test_matches_public_constructor(self, data, n):
-        # minimalize builds its ideal without the constructor's sort, so its
-        # generators must already be distinct and in canonical order.
+        # The constructor keeps the divisibility-minimal generators in grlex
+        # order, so a redundant, repeated or shuffled generating list gives
+        # the same value as minimalize.
         gens = data.draw(st.lists(monomials(n=n), max_size=8))
-        ideal = minimalize(gens, n)
-        shuffled = list(ideal.generators) * 2
+        shuffled = gens * 2
         random.Random(0).shuffle(shuffled)
-        assert ideal == MonomialIdeal(n, tuple(shuffled))
+        assert MonomialIdeal(n, tuple(shuffled)) == minimalize(gens, n)
 
     @given(st.data(), st.integers(1, 4))
     @settings(max_examples=150)
@@ -271,6 +300,28 @@ class TestRadical:
         max_power = 1 + max(max(gen.exponents) for gen in ideal.generators)
         expected = brute_has_power_in(ideal, g, max_power)
         assert contains_monomial(radical(ideal), g) == expected
+
+
+class TestKernelOutputIsCanonical:
+    @given(st.data(), st.integers(1, 3), st.integers(0, 3), st.integers(0, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_constructor_keeps_kernel_output(self, data, n, t, d):
+        # These results skip the constructor, so they must already be in
+        # its canonical form.
+        left = data.draw(ideals(n=n, max_gens=4, max_exp=3))
+        right = data.draw(ideals(n=n, max_gens=4, max_exp=3))
+        m = data.draw(monomials(n=n, max_exp=3))
+        w = data.draw(weights(max_dim=4, max_entry=6))
+        results = [
+            ideal_product(left, right),
+            ideal_power(left, t),
+            colon(left, m),
+            saturate(left, m),
+            radical(left),
+            weighted_ideal_gens(w, d),
+        ]
+        for result in results:
+            assert MonomialIdeal(result.ambient_dim, result.generators) == result
 
 
 class TestIdealsEqual:

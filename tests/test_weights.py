@@ -236,6 +236,14 @@ class TestPowerEquality:
                 for d in (2, 3, 4):
                     assert power_equality(w, b, d).equal, (b, n, k, d)
 
+    @pytest.mark.parametrize("entries, L", [((2, 3), 1), ((3, 5), 4)])
+    def test_least_generator_weight_above_threshold(self, entries, L):
+        # Every generator of the threshold-L ideal weighs more than L here,
+        # so the search cuts below t times that least weight, not t*L.
+        w = Weight(entries)
+        for d in range(2, 5):
+            assert power_equality(w, L, d) == brute_power_equality(w, L, d), d
+
     @given(
         st.lists(st.integers(1, 6), min_size=1, max_size=4),
         st.integers(0, 2),
