@@ -141,6 +141,20 @@ def reid_tai_ages(q: CyclicQuotientType) -> tuple[Fraction, ...]:
     return tuple(Fraction(s, r) for s in _age_sums(r, q.twists))
 
 
+def _age_strings(q: CyclicQuotientType) -> list[str]:
+    """The ages of :func:`reid_tai_ages` as ``str`` prints them, from the integer sums.
+
+    Age s/r is written reduced by gcd(s, r), and as a bare integer when r
+    divides s.  The trivial group has no ages.
+    """
+    r = q.order
+    out = []
+    for s in _age_sums(r, q.twists):
+        g = math.gcd(s, r)
+        out.append(str(s // r) if g == r else f"{s // g}/{r // g}")
+    return out
+
+
 def is_terminal(q: CyclicQuotientType) -> bool:
     """Reid-Tai criterion: terminal iff every age is strictly above 1.
 

@@ -21,13 +21,13 @@ from typing import Any, Callable, Optional, Sequence
 
 from .charts import (
     CyclicQuotientType,
+    _age_strings,
     charts,
     is_terminal,
     pushforward_membership,
-    reid_tai_ages,
 )
 from .contraction import contraction_profile, validate_profile
-from .errors import InvalidArgumentError, InvalidWeightError, WblowupError
+from .errors import InvalidArgumentError, WblowupError
 from .monomials import minimalize
 from .parsing import (
     format_monomial,
@@ -174,7 +174,7 @@ def _cmd_terminal(args: argparse.Namespace) -> tuple[dict, bool]:
         q = CyclicQuotientType(args.r, twists)
         inputs = {"r": q.order, "twists": list(q.twists)}
         verdict = is_terminal(q)
-        ages = [str(a) for a in reid_tai_ages(q)] if q.order >= 2 else []
+        ages = _age_strings(q)
         result = {"mode": "quotient", "terminal": verdict, "ages": ages}
         return _document("terminal", inputs, result), not verdict
     if args.weight is None:

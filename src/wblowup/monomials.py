@@ -255,14 +255,22 @@ def _grlex_antichain(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
 def _ideal_from_grlex(ambient_dim: int, exps: Iterable[tuple[int, ...]]) -> MonomialIdeal:
     """The ideal of exponent tuples that are distinct, minimal and in grlex order.
 
-    The one path that skips the constructor, for kernel output that is
-    already canonical; each tuple must have length ``ambient_dim``.
+    The one path that skips the constructors, for kernel output that is
+    already canonical: each tuple must be a tuple of non-negative ints of
+    length ``ambient_dim``, so each ``Monomial`` is built by setting its
+    slot directly, without the checks of ``Monomial.__post_init__``.
     """
     if ambient_dim < 1:
         raise InvalidArgumentError("ambient dimension must be at least 1")
+    new, set_exponents = object.__new__, Monomial.exponents.__set__
+    gens = []
+    for e in exps:
+        g = new(Monomial)
+        set_exponents(g, e)
+        gens.append(g)
     ideal = object.__new__(MonomialIdeal)
     object.__setattr__(ideal, "ambient_dim", ambient_dim)
-    object.__setattr__(ideal, "generators", tuple(map(Monomial, exps)))
+    object.__setattr__(ideal, "generators", tuple(gens))
     return ideal
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from wblowup.charts import (
     BlowupAtlas,
     ChartDescription,
     CyclicQuotientType,
+    _age_strings,
     cartier_index,
     charts,
     discrepancy,
@@ -152,6 +154,19 @@ class TestReidTai:
                 except IllFormedActionError:
                     continue
                 assert verdict == all(age > 1 for age in reid_tai_ages(q)), (r, twists)
+
+    def test_age_strings_match_printed_fractions(self):
+        # Ages do not depend on the order of the twists, so one order of
+        # each multiset covers every well-formed action.
+        assert _age_strings(CyclicQuotientType(3, (1, 2))) == ["1", "1"]
+        assert _age_strings(CyclicQuotientType(1, (0, 0))) == []
+        for r in range(2, 31):
+            for n in (2, 3):
+                for twists in itertools.combinations_with_replacement(range(r), n):
+                    if any(math.gcd(r, *twists[:i], *twists[i + 1 :]) != 1 for i in range(n)):
+                        continue
+                    q = CyclicQuotientType(r, twists)
+                    assert _age_strings(q) == [str(a) for a in reid_tai_ages(q)], (r, twists)
 
     def test_age_boundary_is_not_terminal(self):
         # Ages equal to 1 must fail the strict inequality.

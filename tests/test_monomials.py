@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_has_power_in, brute_saturate
@@ -28,7 +29,7 @@ from wblowup.monomials import (
     radical,
     saturate,
 )
-from wblowup.weights import Weight, sigma_wt, weighted_ideal_gens
+from wblowup.weights import Weight, _minimal_generator_exponents, sigma_wt, weighted_ideal_gens
 
 
 def M(*exps: int) -> Monomial:
@@ -60,6 +61,15 @@ class TestMonomial:
             Monomial.variable(0, 3)
         with pytest.raises(ValueError):
             Monomial.variable(4, 3)
+
+    def test_public_constructor_validates(self):
+        with pytest.raises(InvalidArgumentError, match="ambient dimension must be at least 1"):
+            Monomial(())
+        with pytest.raises(InvalidArgumentError, match=r"negative exponent in \(1, -1\)"):
+            Monomial((1, -1))
+        listed = Monomial([1, 2])
+        assert type(listed.exponents) is tuple
+        assert listed == M(1, 2) and hash(listed) == hash(M(1, 2))
 
     def test_errors_carry_a_code(self):
         with pytest.raises(InvalidArgumentError) as negative:
@@ -322,6 +332,48 @@ class TestKernelOutputIsCanonical:
         ]
         for result in results:
             assert MonomialIdeal(result.ambient_dim, result.generators) == result
+
+
+class TestTrustedPath:
+    """Kernel results build each Monomial without its constructor's checks."""
+
+    @staticmethod
+    def assert_built_as_public(ideal, exps):
+        # ``exps`` generates the ideal; the public constructors minimalize it.
+        for g in ideal.generators:
+            public = Monomial(g.exponents)
+            assert type(g) is Monomial
+            assert g == public and hash(g) == hash(public)
+            with pytest.raises(FrozenInstanceError):
+                g.exponents = public.exponents
+        assert ideal == MonomialIdeal(ideal.ambient_dim, tuple(map(Monomial, exps)))
+
+    @given(st.data(), st.integers(0, 2), st.integers(0, 25), st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_results_match_public_constructors(self, data, tail, d, e):
+        w = data.draw(weights(max_dim=4, max_entry=6))
+        w = Weight(w.entries + (0,) * tail)
+        n = w.n
+        ideal = weighted_ideal_gens(w, d)
+        # The public constructor's antichain scan is quadratic in the generators.
+        assume(len(ideal.generators) <= 120)
+        other = weighted_ideal_gens(w, e)
+        m = data.draw(monomials(n=n, max_exp=3)).exponents
+        gens = [g.exponents for g in ideal.generators]
+        self.assert_built_as_public(ideal, _minimal_generator_exponents(w.entries, d))
+        self.assert_built_as_public(
+            ideal_product(ideal, other),
+            [tuple(map(sum, zip(g, h.exponents))) for g in gens for h in other.generators],
+        )
+        self.assert_built_as_public(
+            colon(ideal, Monomial(m)),
+            [tuple(max(a - b, 0) for a, b in zip(g, m)) for g in gens],
+        )
+        self.assert_built_as_public(
+            saturate(ideal, Monomial(m)),
+            [tuple(0 if b else a for a, b in zip(g, m)) for g in gens],
+        )
+        self.assert_built_as_public(radical(ideal), [tuple(min(a, 1) for a in g) for g in gens])
 
 
 class TestIdealsEqual:

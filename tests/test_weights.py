@@ -21,7 +21,6 @@ from wblowup.monomials import (
     Polynomial,
     contains,
     contains_monomial,
-    divides,
     grlex_key,
     ideal_power,
 )
