@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .charts import (
     CyclicQuotientType,
@@ -45,8 +45,6 @@ from .weights import (
 )
 
 SCHEMA_VERSION = 1
-
-Handler = Callable[[argparse.Namespace], tuple[dict, bool]]
 
 
 def _document(
@@ -217,18 +215,6 @@ def _cmd_profile(args: argparse.Namespace) -> tuple[dict, bool]:
     return _document("profile", inputs, result, checks=checks), not report.all_pass
 
 
-_HANDLERS: dict[str, Handler] = {
-    "wt": _cmd_wt,
-    "ideal": _cmd_ideal,
-    "normality": _cmd_normality,
-    "symbolic": _cmd_symbolic,
-    "charts": _cmd_charts,
-    "terminal": _cmd_terminal,
-    "push": _cmd_push,
-    "profile": _cmd_profile,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wblowup",
@@ -248,16 +234,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=required, help="ambient dimension")
 
     p = sub.add_parser("wt", parents=[common], help="weighted degree of a polynomial")
+    p.set_defaults(handler=_cmd_wt)
     weighted(p)
     p.add_argument("polynomial")
 
     p = sub.add_parser("ideal", parents=[common], help="minimal generators at a threshold")
+    p.set_defaults(handler=_cmd_ideal)
     weighted(p)
     p.add_argument("--d", type=int, required=True, help="weighted-degree threshold")
 
     p = sub.add_parser(
         "normality", parents=[common], help="compare ideal powers against scaled thresholds"
     )
+    p.set_defaults(handler=_cmd_normality)
     weighted(p)
     p.add_argument("--L", type=int, help="threshold whose d-th power to test")
     p.add_argument("--d", type=int, help="power exponent (with --L)")
@@ -267,17 +256,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "symbolic", parents=[common], help="symbolic vs ordinary powers of a primary ideal"
     )
+    p.set_defaults(handler=_cmd_symbolic)
     weighted(p, required=False)
     p.add_argument("--L", type=int, help="threshold when building the ideal from --weight")
     p.add_argument("--gens", help="comma-separated monomial generators, e.g. x1^2,x1*x2")
     p.add_argument("--t", type=int, required=True, help="power exponent")
 
     p = sub.add_parser("charts", parents=[common], help="chart atlas of the weighted blow-up")
+    p.set_defaults(handler=_cmd_charts)
     weighted(p)
 
     p = sub.add_parser(
         "terminal", parents=[common], help="Reid-Tai terminality of a quotient or a blow-up"
     )
+    p.set_defaults(handler=_cmd_terminal)
     weighted(p, required=False)
     p.add_argument("--r", type=int, help="cyclic group order (with --twists)")
     p.add_argument("--twists", help="comma-separated twists, e.g. 2,2,1")
@@ -285,11 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "push", parents=[common], help="vanishing order along the exceptional divisor"
     )
+    p.set_defaults(handler=_cmd_push)
     weighted(p)
     p.add_argument("--d", type=int, required=True, help="required vanishing order")
     p.add_argument("polynomial")
 
     p = sub.add_parser("profile", parents=[common], help="contraction profile and validation")
+    p.set_defaults(handler=_cmd_profile)
     p.add_argument("--n", type=int, required=True, help="ambient dimension")
     p.add_argument("--r", type=int, required=True, help="number of weight-b entries")
     p.add_argument("--b", type=int, required=True, help="weight multiplicity")
@@ -329,9 +323,8 @@ def _emit(doc: dict, as_json: bool) -> None:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
-        doc, negative = handler(args)
+        doc, negative = args.handler(args)
     except WblowupError as exc:
         error_doc = _document(args.command, {}, None)
         error_doc["error"] = {"code": exc.code, "message": str(exc)}

@@ -2,11 +2,17 @@
 
 The family modeled here contracts a divisor to a codimension r + 2 center
 and is resolved by a weighted blow-up with weight (1, 1, b, ..., b, 0, ..., 0)
-carrying r copies of b.  Everything that can be cross-checked is recorded
-explicitly: the nef value tau = r + 1/b, the fiber dimension r + 1, the
-discrepancy r*b + 1, the chart atlas and its terminality verdict.
-``validate_profile`` re-derives each invariant and reports per-check
-results, so a hand-edited profile pinpoints exactly which relation broke.
+carrying r copies of b.  The profile reads its numbers off that weight w.
+With K_X = f^*K_Y + discrepancy(w) E and the polarization L = f^*A - bE,
+a curve C in a fiber has nef value tau = -K.C / L.C = discrepancy(w) / b.
+The center codimension is the number k of positive entries and the fibers
+P(w) have dimension k - 1.  The chart atlas and its terminality verdict are
+recorded as well.  ``validate_profile`` checks each number against its
+closed form in (n, r, b) (tau = r + 1/b, fiber dimension r + 1,
+discrepancy r*b + 1) and reports per-check results, so a hand-edited
+profile pinpoints exactly which relation broke.  tests/oracles.py sweeps
+small weights and finds this family to be the only one with tau > k - 2
+and a terminal blow-up.
 """
 
 from __future__ import annotations
@@ -92,15 +98,16 @@ def contraction_profile(n: int, r: int, b: int) -> ContractionProfile:
         raise InvariantViolationError(
             f"weighted blow-up with weight {weight.entries} of this family is not terminal"
         )
+    disc = discrepancy(weight)
     return ContractionProfile(
         n=n,
         r=r,
         b=b,
-        tau=Fraction(r * b + 1, b),
+        tau=Fraction(disc, b),
         weight=weight,
-        center_codim=r + 2,
-        fiber_dim=r + 1,
-        discrepancy=discrepancy(weight),
+        center_codim=weight.k,
+        fiber_dim=weight.k - 1,
+        discrepancy=disc,
         charts=atlas,
         terminal=terminal,
     )

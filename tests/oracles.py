@@ -11,13 +11,23 @@ substitutions instead of the weighted degree
 They are deliberately slow and simple.  ``slicing_decomposition_check``
 is a structural identity rather than a second route: it cuts a threshold
 ideal along one variable and compares both pieces with smaller thresholds.
+``high_length_weights`` sweeps weights for the paper's classification
+instead of building the ``(1, 1, b, ..., b)`` family by hand.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from fractions import Fraction
 
-from wblowup.charts import ChartDescription, charts
+from wblowup.charts import (
+    ChartDescription,
+    cartier_index,
+    charts,
+    discrepancy,
+    is_terminal_blowup,
+)
 from wblowup.errors import InvalidArgumentError
 from wblowup.monomials import (
     EqualityVerdict,
@@ -227,3 +237,21 @@ def brute_pushforward_membership(w: Weight, d: int, f: Polynomial) -> bool:
             if substitute_through_chart(chart, m).exponents[slot] < d:
                 return False
     return True
+
+
+def high_length_weights(c: int, max_entry: int) -> list[Weight]:
+    """Weights of high length among the sorted ones with c entries and gcd 1.
+
+    Blowing up a smooth codimension-c center with weight a and polarizing by
+    f^*A - mE, m = cartier_index(a), a curve in a fiber has nef value
+    tau = discrepancy(a) / m.  The weight is kept when tau > c - 2 and the
+    blow-up is terminal; every entry is at most ``max_entry``.
+    """
+    out = []
+    for entries in itertools.combinations_with_replacement(range(1, max_entry + 1), c):
+        if math.gcd(*entries) != 1:
+            continue
+        w = Weight(entries)
+        if Fraction(discrepancy(w), cartier_index(w)) > c - 2 and is_terminal_blowup(w):
+            out.append(w)
+    return out

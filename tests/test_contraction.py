@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import high_length_weights
 from wblowup import contraction
-from wblowup.charts import discrepancy, is_terminal_blowup
+from wblowup.charts import cartier_index, discrepancy, is_terminal_blowup
 from wblowup.contraction import (
     contraction_profile,
     validate_profile,
@@ -111,6 +112,13 @@ class TestValidateProfile:
         failed = {c.name for c in validate_profile(bad).failures()}
         assert "weight-shape" in failed
 
+    def test_wrong_discrepancy_source_is_flagged(self, monkeypatch):
+        # tau is read off the weight, so the closed form r + 1/b checks it.
+        real = contraction.discrepancy
+        monkeypatch.setattr(contraction, "discrepancy", lambda w: real(w) + 1)
+        report = validate_profile(contraction_profile(3, 1, 2))
+        assert "nef-value-formula" in {c.name for c in report.failures()}
+
     def test_check_details_are_informative(self):
         p = contraction_profile(3, 1, 2)
         bad = dataclasses.replace(p, fiber_dim=0)
@@ -144,3 +152,23 @@ class TestFamilySweep:
             assert p.terminal == is_terminal_blowup(p.weight)
             assert p.charts.weight == p.weight
             assert len(p.charts.charts) == p.weight.k
+
+
+class TestClassification:
+    def test_only_the_family_has_high_length(self):
+        # Sorted weights with gcd 1 and c = 2..5 entries: 847 in all.
+        survivors = [
+            w for c, top in [(2, 12), (3, 12), (4, 8), (5, 6)] for w in high_length_weights(c, top)
+        ]
+        assert len(survivors) == 27
+        for w in survivors:
+            c, b = w.n, cartier_index(w)
+            assert w.entries == (1, 1) + (b,) * (c - 2)
+            for n in (c, c + 1, c + 2):
+                tailed = Weight(w.entries + (0,) * (n - c))
+                p = contraction_profile(n, c - 2, b)
+                assert p.weight == tailed
+                assert p.tau == Fraction(discrepancy(tailed), cartier_index(tailed))
+                assert p.discrepancy == discrepancy(tailed)
+                assert p.charts.cartier_index == cartier_index(tailed)
+                assert p.terminal == is_terminal_blowup(tailed)

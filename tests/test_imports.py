@@ -1,13 +1,15 @@
-"""Every name imported in src/ and tests/ is used in its module."""
+"""Every name imported in src/, tests/ and scripts/ is used in its module;
+the package namespace is the union of its modules' ``__all__`` lists."""
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
+import wblowup
+
 _ROOT = Path(__file__).resolve().parent.parent
-# The package's __init__ has no __all__: its imports are the public namespace.
-_SKIP = {_ROOT / "src" / "wblowup" / "__init__.py"}
 
 
 def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
@@ -49,8 +51,7 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def _sources() -> list[Path]:
-    files = sorted((_ROOT / "src").rglob("*.py")) + sorted((_ROOT / "tests").rglob("*.py"))
-    return [p for p in files if p not in _SKIP]
+    return [p for top in ("src", "tests", "scripts") for p in sorted((_ROOT / top).rglob("*.py"))]
 
 
 def test_no_unused_imports():
@@ -60,6 +61,21 @@ def test_no_unused_imports():
         for name in unused_imports(path)
     ]
     assert found == []
+
+
+_MODULES = ("errors", "monomials", "weights", "symbolic", "charts", "contraction", "parsing")
+
+
+def test_package_namespace():
+    owner: dict[str, str] = {}
+    for name in _MODULES:
+        module = sys.modules[f"wblowup.{name}"]
+        for public in module.__all__:
+            assert public not in owner, (public, owner.get(public), name)
+            owner[public] = name
+            assert getattr(wblowup, public) is getattr(module, public), (name, public)
+    # The star import of .charts rebinds the submodule's name to the function.
+    assert wblowup.charts is sys.modules["wblowup.charts"].charts
 
 
 def test_scan_sees_both_kinds_of_use(tmp_path):
