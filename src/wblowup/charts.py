@@ -26,7 +26,7 @@ from typing import Iterator
 
 from .errors import IllFormedActionError, InvalidArgumentError, ZeroPolynomialError
 from .monomials import Monomial, Polynomial
-from .weights import Weight, sigma_wt
+from .weights import Weight, _check_dim, sigma_wt
 
 __all__ = [
     "CyclicQuotientType",
@@ -200,10 +200,7 @@ def pushforward_membership(w: Weight, d: int, f: Polynomial) -> bool:
     monomials, so no terms of f cancel, and the order of f along E is the
     minimum of wt over its terms: f qualifies iff sigma_wt(w, f) >= d.
     """
-    if f.ambient_dim != w.n:
-        raise InvalidArgumentError(
-            f"polynomial lives in {f.ambient_dim} variables, weight in {w.n}"
-        )
+    _check_dim(w, "polynomial", f.ambient_dim)
     if f.is_zero():
         raise ZeroPolynomialError("the zero polynomial has no vanishing order")
     if d < 0:

@@ -115,7 +115,7 @@ def _cmd_normality(args: argparse.Namespace) -> tuple[dict, bool]:
 
 def _cmd_symbolic(args: argparse.Namespace) -> tuple[dict, bool]:
     if args.gens is not None:
-        if args.weight is not None:
+        if args.weight is not None or args.L is not None:
             raise InvalidArgumentError("pass either --gens or --weight/--L, not both")
         n = _ambient_dim(args, "--gens")
         ideal = minimalize([parse_monomial(text.strip(), n) for text in args.gens.split(",")], n)

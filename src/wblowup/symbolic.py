@@ -19,7 +19,6 @@ from .monomials import (
     _power_verdict,
     contains_monomial,
     ideal_power,
-    radical,
     saturate,
 )
 
@@ -41,6 +40,17 @@ class PrimaryMonomialIdeal:
     not required to be primary, only to have a prime monomial radical: the
     variables generate rad(I) exactly when I holds a pure power of each of
     them and of no other variable, and every generator involves one of them.
+
+    Proof, for I neither zero nor the unit ideal: the minimal generators of
+    rad(I) are the minimal supports of the generators of I.  So x_i
+    generates rad(I) exactly when I holds a pure power of x_i; call such
+    variables pure.  A support of several variables is minimal only if it
+    avoids the pure ones, so every multi-variable generator of rad(I) is
+    the support of an avoiding generator.  The least avoiding support in
+    the order (len(s), s), which is grlex order on squarefree monomials, is
+    itself a generator of rad(I), since a proper subset that is a support
+    would be a pure variable or a smaller avoiding support.  So it is the
+    first multi-variable generator of rad(I), and :func:`as_primary` names it.
     """
 
     ideal: MonomialIdeal
@@ -48,17 +58,17 @@ class PrimaryMonomialIdeal:
 
     def __post_init__(self) -> None:
         rad = self.radical_vars
-        pure = set()
-        for g in self.ideal.generators:
-            support = [i for i, e in enumerate(g.exponents, 1) if e]
-            if rad.isdisjoint(support):
-                break
-            if len(support) == 1:
-                pure.add(support[0])
-        else:
-            if rad and pure == rad:
-                return
+        pure, avoiding = _support_scan(self.ideal)
+        if rad and pure == rad and not avoiding:
+            return
         raise InvalidArgumentError(f"variables {sorted(rad)} do not generate the ideal's radical")
+
+
+def _support_scan(ideal: MonomialIdeal) -> tuple[frozenset[int], list[list[int]]]:
+    """The pure variables of I, and the supports of the generators avoiding them."""
+    supports = [[i for i, e in enumerate(g.exponents, 1) if e] for g in ideal.generators]
+    pure = frozenset(s[0] for s in supports if len(s) == 1)
+    return pure, [s for s in supports if pure.isdisjoint(s)]
 
 
 def as_primary(ideal: MonomialIdeal) -> PrimaryMonomialIdeal:
@@ -71,16 +81,13 @@ def as_primary(ideal: MonomialIdeal) -> PrimaryMonomialIdeal:
     """
     if ideal.is_zero() or ideal.is_unit():
         raise InvalidArgumentError("the zero and unit ideals carry no radical data")
-    rad = radical(ideal)
-    indices: set[int] = set()
-    for g in rad.generators:
-        support = [i for i, e in enumerate(g.exponents, start=1) if e > 0]
-        if len(support) != 1:
-            raise RadicalNotPrimeError(
-                f"radical generator with support {support} involves more than one variable"
-            )
-        indices.add(support[0])
-    return PrimaryMonomialIdeal(ideal, frozenset(indices))
+    pure, avoiding = _support_scan(ideal)
+    if avoiding:
+        support = min(avoiding, key=lambda s: (len(s), s))
+        raise RadicalNotPrimeError(
+            f"radical generator with support {support} involves more than one variable"
+        )
+    return PrimaryMonomialIdeal(ideal, pure)
 
 
 def symbolic_power(primary: PrimaryMonomialIdeal, t: int) -> MonomialIdeal:

@@ -87,12 +87,15 @@ class Weight:
         return self.entries[: self.k]
 
 
+def _check_dim(w: Weight, kind: str, ambient_dim: int) -> None:
+    """Refuse a monomial or polynomial (``kind``) that lives in other variables than ``w``."""
+    if ambient_dim != w.n:
+        raise InvalidArgumentError(f"{kind} lives in {ambient_dim} variables, weight in {w.n}")
+
+
 def monomial_weight(w: Weight, m: Monomial) -> int:
     """Weighted degree of a single monomial."""
-    if m.ambient_dim != w.n:
-        raise InvalidArgumentError(
-            f"monomial lives in {m.ambient_dim} variables, weight in {w.n}"
-        )
+    _check_dim(w, "monomial", m.ambient_dim)
     return sum(a * s for a, s in zip(w.entries, m.exponents))
 
 
@@ -102,10 +105,7 @@ def sigma_wt(w: Weight, f: Polynomial) -> int:
     Undefined (an error) for the zero polynomial, which vanishes to every
     order.
     """
-    if f.ambient_dim != w.n:
-        raise InvalidArgumentError(
-            f"polynomial lives in {f.ambient_dim} variables, weight in {w.n}"
-        )
+    _check_dim(w, "polynomial", f.ambient_dim)
     if f.is_zero():
         raise ZeroPolynomialError("the zero polynomial has no weighted degree")
     return min(monomial_weight(w, m) for m, _ in f.terms)

@@ -5,9 +5,11 @@ exhaustive lattice enumeration instead of pruned search, iterated or
 united colons instead of closed-form saturation, explicit power scans
 instead of radical membership, formed powers instead of membership
 searches (``brute_power_equality`` for thresholds,
-``brute_compare_symbolic_power`` for symbolic powers), and chart
+``brute_compare_symbolic_power`` for symbolic powers), chart
 substitutions instead of the weighted degree
-(``brute_pushforward_membership`` over ``substitute_through_chart``).
+(``brute_pushforward_membership`` over ``substitute_through_chart``), and
+the generators of a formed radical instead of one support scan
+(``brute_as_primary``).
 They are deliberately slow and simple.  ``slicing_decomposition_check``
 is a structural identity rather than a second route: it cuts a threshold
 ideal along one variable and compares both pieces with smaller thresholds.
@@ -28,7 +30,7 @@ from wblowup.charts import (
     discrepancy,
     is_terminal_blowup,
 )
-from wblowup.errors import InvalidArgumentError
+from wblowup.errors import InvalidArgumentError, RadicalNotPrimeError
 from wblowup.monomials import (
     EqualityVerdict,
     Monomial,
@@ -40,6 +42,7 @@ from wblowup.monomials import (
     ideal_product,
     ideals_equal,
     minimalize,
+    radical,
     saturate,
 )
 from wblowup.symbolic import PrimaryMonomialIdeal
@@ -114,6 +117,25 @@ def brute_symbolic(primary: PrimaryMonomialIdeal, t: int, max_bound: int = 12) -
             return union
         previous = union
     raise RuntimeError(f"saturation not stabilized within exponent bound {max_bound}")
+
+
+def brute_as_primary(ideal: MonomialIdeal) -> PrimaryMonomialIdeal:
+    """Radical data by forming rad(I) and reading its generators in grlex order.
+
+    Refuses at the first generator of rad(I) with more than one variable.
+    """
+    if ideal.is_zero() or ideal.is_unit():
+        raise InvalidArgumentError("the zero and unit ideals carry no radical data")
+    rad = radical(ideal)
+    indices: set[int] = set()
+    for g in rad.generators:
+        support = [i for i, e in enumerate(g.exponents, start=1) if e > 0]
+        if len(support) != 1:
+            raise RadicalNotPrimeError(
+                f"radical generator with support {support} involves more than one variable"
+            )
+        indices.add(support[0])
+    return PrimaryMonomialIdeal(ideal, frozenset(indices))
 
 
 def brute_has_power_in(ideal: MonomialIdeal, g: Monomial, max_power: int) -> bool:

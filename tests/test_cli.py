@@ -216,6 +216,26 @@ class TestSymbolic:
         assert code == 2
         assert doc["error"]["code"] == "RADICAL_NOT_PRIME"
 
+    def test_radical_not_prime_names_least_radical_generator(self, capsys):
+        # rad(I) = (x1*x2, x3*x4); the least generator is named, not x3*x4,
+        # the support of the ideal's first generator.
+        code, doc = run(
+            capsys, "symbolic", "--json", "--gens", "x3*x4,x1^3*x2", "--n", "4", "--t", "2"
+        )
+        assert code == 2
+        assert doc == {
+            "schema_version": 1,
+            "command": "symbolic",
+            "inputs": {},
+            "result": None,
+            "witnesses": [],
+            "checks": [],
+            "error": {
+                "code": "RADICAL_NOT_PRIME",
+                "message": "radical generator with support [1, 2] involves more than one variable",
+            },
+        }
+
 
 class TestCharts:
     def test_atlas_document(self, capsys):
@@ -453,6 +473,10 @@ class TestErrors:
                 "pass either --gens or --weight/--L, not both",
             ),
             (
+                ["symbolic", "--gens", "x1^2,x1*x2", "--n", "2", "--L", "5", "--t", "2"],
+                "pass either --gens or --weight/--L, not both",
+            ),
+            (
                 ["symbolic", "--weight", "1,1", "--n", "2", "--t", "2"],
                 "--L is required together with --weight",
             ),
@@ -464,6 +488,7 @@ class TestErrors:
         ids=[
             "normality-no-mode",
             "symbolic-gens-and-weight",
+            "symbolic-gens-and-L",
             "symbolic-weight-no-L",
             "symbolic-no-ideal",
             "terminal-r-no-twists",

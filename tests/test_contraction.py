@@ -156,11 +156,10 @@ class TestFamilySweep:
 
 class TestClassification:
     def test_only_the_family_has_high_length(self):
-        # Sorted weights with gcd 1 and c = 2..5 entries: 847 in all.
-        survivors = [
-            w for c, top in [(2, 12), (3, 12), (4, 8), (5, 6)] for w in high_length_weights(c, top)
-        ]
-        assert len(survivors) == 27
+        # Sorted weights with gcd 1 and c = 2..7 entries: 3,844 in all.
+        grid = [(2, 40), (3, 20), (4, 10), (5, 8), (6, 6), (7, 5)]
+        survivors = [w for c, top in grid for w in high_length_weights(c, top)]
+        assert len(survivors) == 50
         for w in survivors:
             c, b = w.n, cartier_index(w)
             assert w.entries == (1, 1) + (b,) * (c - 2)

@@ -1,4 +1,4 @@
-"""Every name imported in src/, tests/ and scripts/ is used in its module;
+"""Every name imported in src/, tests/, scripts/ and benchmark/ is used in its module;
 the package namespace is the union of its modules' ``__all__`` lists."""
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def _sources() -> list[Path]:
-    return [p for top in ("src", "tests", "scripts") for p in sorted((_ROOT / top).rglob("*.py"))]
+    tops = ("src", "tests", "scripts", "benchmark")
+    return [p for top in tops for p in sorted((_ROOT / top).rglob("*.py"))]
 
 
 def test_no_unused_imports():
@@ -63,7 +64,12 @@ def test_no_unused_imports():
     assert found == []
 
 
-_MODULES = ("errors", "monomials", "weights", "symbolic", "charts", "contraction", "parsing")
+# The modules whose ``__all__`` the package star-imports, in import order.
+_MODULES = tuple(
+    node.module
+    for node in ast.parse((_ROOT / "src" / "wblowup" / "__init__.py").read_text()).body
+    if isinstance(node, ast.ImportFrom) and node.names[0].name == "*"
+)
 
 
 def test_package_namespace():

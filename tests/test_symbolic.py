@@ -5,16 +5,17 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_compare_symbolic_power, brute_symbolic
+from oracles import brute_as_primary, brute_compare_symbolic_power, brute_symbolic
 from strategies import ideals, prime_radical_ideals
 from wblowup import symbolic
 from wblowup.errors import (
     InvalidArgumentError,
     InvariantViolationError,
     RadicalNotPrimeError,
+    WblowupError,
 )
 from wblowup.monomials import (
     Monomial,
@@ -52,15 +53,35 @@ class TestAsPrimary:
         assert primary.radical_vars == frozenset({1, 2})
 
     def test_mixed_radical_rejected(self):
+        message = "radical generator with support [1, 2] involves more than one variable"
         with pytest.raises(RadicalNotPrimeError) as exc:
             as_primary(I(M(1, 1, 0), M(1, 0, 1), M(0, 1, 1)))
         assert exc.value.code == "RADICAL_NOT_PRIME"
+        assert str(exc.value) == message
+        # The least generator of rad(I), not the support of I's first generator.
+        with pytest.raises(RadicalNotPrimeError) as exc:
+            as_primary(I(M(0, 0, 1, 1), M(3, 1, 0, 0)))
+        assert str(exc.value) == message
 
     def test_zero_and_unit_rejected(self):
         with pytest.raises(InvalidArgumentError):
             as_primary(MonomialIdeal.zero(2))
         with pytest.raises(InvalidArgumentError):
             as_primary(MonomialIdeal.unit(2))
+
+    @given(ideals(max_dim=5, max_gens=6, max_exp=3))
+    @example(MonomialIdeal.zero(2))
+    @example(MonomialIdeal.unit(3))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_radical_oracle(self, ideal):
+        # Same radical data, or the same error, as the route that forms rad(I).
+        def outcome(route):
+            try:
+                return route(ideal)
+            except WblowupError as exc:
+                return type(exc), exc.code, str(exc)
+
+        assert outcome(as_primary) == outcome(brute_as_primary)
 
     def test_radical_vars_validated(self):
         with pytest.raises(InvalidArgumentError):
