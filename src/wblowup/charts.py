@@ -12,7 +12,11 @@ answers by ``sigma_wt``; tests/oracles.py checks this chart by chart.
 
 Terminality of a cyclic quotient is decided by the Reid-Tai criterion:
 every nontrivial group element must have age strictly greater than 1,
-where the age of element j is sum_i frac(j * twist_i / order).
+where the age of element j is sum_i frac(j * twist_i / order), read off
+one checked pass of the integer sums r * age.  Chart quotients are always
+well formed, so ``is_terminal_blowup`` never raises ``ILL_FORMED_ACTION``:
+off any coordinate but i, chart i keeps its twist 1, and off coordinate i
+the gcd is gcd(a_i, a_j : j != i) = gcd(a) = 1.
 """
 
 from __future__ import annotations
@@ -105,9 +109,7 @@ def charts(w: Weight) -> BlowupAtlas:
     descriptions = []
     for i in range(1, k + 1):
         ai = w.entries[i - 1]
-        twists = tuple(
-            (1 if j == i else -w.entries[j - 1]) % ai for j in range(1, n + 1)
-        )
+        twists = tuple(1 if j == i else -w.entries[j - 1] for j in range(1, n + 1))
         images = []
         for j in range(1, n + 1):
             exps = [0] * n
@@ -133,53 +135,46 @@ def reid_tai_ages(q: CyclicQuotientType) -> tuple[Fraction, ...]:
 
     Element j of the cyclic group scales coordinate i by a primitive root
     of unity to the power j * twist_i; its age adds up the normalized
-    rotation amounts frac(j * twist_i / order).  Defined for order >= 2.
+    rotation amounts frac(j * twist_i / order).  Defined for well-formed
+    actions of order >= 2.
     """
     r = q.order
     if r < 2:
         raise InvalidArgumentError("ages need a nontrivial group, order >= 2")
-    return tuple(Fraction(s, r) for s in _age_sums(r, q.twists))
+    return tuple(Fraction(s, r) for s in _age_sums(q))
 
 
-def _age_strings(q: CyclicQuotientType) -> list[str]:
-    """The ages of :func:`reid_tai_ages` as ``str`` prints them, from the integer sums.
-
-    Age s/r is written reduced by gcd(s, r), and as a bare integer when r
-    divides s.  The trivial group has no ages.
-    """
+def _terminal_ages(q: CyclicQuotientType) -> tuple[bool, list[str]]:
+    """The :func:`is_terminal` verdict and the ages as ``str`` prints them, from one pass."""
     r = q.order
-    out = []
-    for s in _age_sums(r, q.twists):
-        g = math.gcd(s, r)
-        out.append(str(s // r) if g == r else f"{s // g}/{r // g}")
-    return out
+    sums = list(_age_sums(q))
+    ages = [f"{s // g}/{r // g}" if (g := math.gcd(s, r)) < r else str(s // r) for s in sums]
+    return all(map(r.__lt__, sums)), ages
 
 
 def is_terminal(q: CyclicQuotientType) -> bool:
     """Reid-Tai criterion: terminal iff every age is strictly above 1.
 
-    The trivial quotient (order 1) is smooth, hence terminal.  Otherwise
-    the action must be well formed: for every coordinate i the order and
-    the twists off coordinate i must be coprime, or some nontrivial element
-    fixes a hyperplane and the criterion does not apply.  Ages are compared
-    in integers, sum_i (j * twist_i mod order) > order, stopping at the
-    first element j that fails.
+    Compares sum_i (j * twist_i mod order) > order in integers and stops at
+    the first j that fails; order 1 has no such j, so it is terminal.
     """
-    r = q.order
-    if r == 1:
-        return True
-    twists = q.twists
+    return all(map(q.order.__lt__, _age_sums(q)))
+
+
+def _age_sums(q: CyclicQuotientType) -> Iterator[int]:
+    """r times each age: sum_i (j * twist_i mod r), lazily, for j = 1..r-1.
+
+    The action is checked at the call to be well formed: for every coordinate
+    i the order and the twists off i must be coprime, or some nontrivial
+    element fixes a hyperplane and Reid-Tai does not apply.
+    """
+    r, twists = q.order, q.twists
     for i in range(len(twists)):
         if math.gcd(r, *twists[:i], *twists[i + 1 :]) != 1:
             raise IllFormedActionError(
                 f"order {r} shares a factor with the twists off coordinate x{i + 1}, "
                 f"twists {twists}"
             )
-    return all(map(r.__lt__, _age_sums(r, twists)))
-
-
-def _age_sums(r: int, twists: tuple[int, ...]) -> Iterator[int]:
-    """r times each age: sum_i (j * twist_i mod r), lazily, for j = 1..r-1."""
     # Row i lists j * twist_i mod r; zero twists add nothing but zip needs a row.
     rows = [map(mod, range(b, b * r, b), repeat(r)) for b in twists if b]
     return map(sum, zip(*rows or [repeat(0, r - 1)]))

@@ -21,7 +21,7 @@ from typing import Any, Optional, Sequence
 
 from .charts import (
     CyclicQuotientType,
-    _age_strings,
+    _terminal_ages,
     charts,
     is_terminal,
     pushforward_membership,
@@ -92,6 +92,8 @@ def _cmd_ideal(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _cmd_normality(args: argparse.Namespace) -> tuple[dict, bool]:
+    if (args.L is not None or args.d is not None) and (args.d_max, args.L_max) != (None, None):
+        raise InvalidArgumentError("pass either --L with --d, or --d-max with --L-max, not both")
     w, inputs = _weight_inputs(args)
     if args.L is not None:
         if args.d is None:
@@ -162,6 +164,8 @@ def _cmd_charts(args: argparse.Namespace) -> tuple[dict, bool]:
 
 
 def _cmd_terminal(args: argparse.Namespace) -> tuple[dict, bool]:
+    if args.weight is not None and (args.r, args.twists) != (None, None):
+        raise InvalidArgumentError("pass either --r with --twists, or --weight, not both")
     if args.r is not None:
         if args.twists is None:
             raise InvalidArgumentError("--twists is required together with --r")
@@ -171,8 +175,7 @@ def _cmd_terminal(args: argparse.Namespace) -> tuple[dict, bool]:
             raise InvalidArgumentError(f"malformed twists {args.twists!r}") from exc
         q = CyclicQuotientType(args.r, twists)
         inputs = {"r": q.order, "twists": list(q.twists)}
-        verdict = is_terminal(q)
-        ages = _age_strings(q)
+        verdict, ages = _terminal_ages(q)
         result = {"mode": "quotient", "terminal": verdict, "ages": ages}
         return _document("terminal", inputs, result), not verdict
     if args.weight is None:

@@ -14,7 +14,9 @@ They are deliberately slow and simple.  ``slicing_decomposition_check``
 is a structural identity rather than a second route: it cuts a threshold
 ideal along one variable and compares both pieces with smaller thresholds.
 ``high_length_weights`` sweeps weights for the paper's classification
-instead of building the ``(1, 1, b, ..., b)`` family by hand.
+instead of building the ``(1, 1, b, ..., b)`` family by hand, and
+``terminal_lemma`` decides 3-dimensional terminality by the terminal
+lemma instead of the Reid-Tai ages.
 """
 
 from __future__ import annotations
@@ -277,3 +279,17 @@ def high_length_weights(c: int, max_entry: int) -> list[Weight]:
         if Fraction(discrepancy(w), cartier_index(w)) > c - 2 and is_terminal_blowup(w):
             out.append(w)
     return out
+
+
+def terminal_lemma(r: int, twists: tuple[int, int, int]) -> bool:
+    """Terminality of a well-formed 3-dimensional quotient 1/r(twists).
+
+    The terminal lemma (Morrison-Stevens 1984): 1/r(a, b, c) is terminal iff,
+    up to permutation, a + b = 0 mod r with a and c prime to r, that is
+    1/r(a, -a, c), which the generator j = c^-1 mod r takes to 1/r(a', -a', 1).
+    No age is formed.
+    """
+    return any(
+        (x + y) % r == 0 and math.gcd(x, r) == 1 and math.gcd(z, r) == 1
+        for x, y, z in itertools.permutations(twists)
+    )

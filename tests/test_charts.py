@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_pushforward_membership, substitute_through_chart
+from oracles import brute_pushforward_membership, substitute_through_chart, terminal_lemma
 from strategies import monomials, polynomials, weights
 from wblowup.charts import (
     BlowupAtlas,
     ChartDescription,
     CyclicQuotientType,
-    _age_strings,
+    _terminal_ages,
     cartier_index,
     charts,
     discrepancy,
@@ -36,6 +36,11 @@ from wblowup.weights import Weight, monomial_weight, weighted_ideal_gens
 
 def M(*exps: int) -> Monomial:
     return Monomial(tuple(exps))
+
+
+def well_formed(r: int, twists: tuple[int, ...]) -> bool:
+    """Is r prime to the twists off each coordinate?  Stated apart from the library."""
+    return all(math.gcd(r, *twists[:i], *twists[i + 1 :]) == 1 for i in range(len(twists)))
 
 
 class TestCyclicQuotientType:
@@ -139,11 +144,13 @@ class TestReidTai:
     def test_pseudo_reflection_rejected(self, order, twists, coordinate):
         # Off some coordinate the twists share a factor with the order, so a
         # nontrivial element fixes a hyperplane.  1/3(1,0,0) is smooth and
-        # 1/4(1,2,2) is 1/2(1,1,1): neither answer would be "not terminal".
-        with pytest.raises(IllFormedActionError) as exc:
-            is_terminal(CyclicQuotientType(order, twists))
-        assert exc.value.code == "ILL_FORMED_ACTION"
-        assert f"coordinate {coordinate}" in str(exc.value)
+        # 1/4(1,2,2) is 1/2(1,1,1): neither answer would be "not terminal",
+        # and the ages would not be those of the quotient.
+        for question in (is_terminal, reid_tai_ages, _terminal_ages):
+            with pytest.raises(IllFormedActionError) as exc:
+                question(CyclicQuotientType(order, twists))
+            assert exc.value.code == "ILL_FORMED_ACTION", question
+            assert f"coordinate {coordinate}" in str(exc.value), question
 
     def test_integer_verdict_matches_ages(self):
         for r in range(2, 13):
@@ -158,15 +165,32 @@ class TestReidTai:
     def test_age_strings_match_printed_fractions(self):
         # Ages do not depend on the order of the twists, so one order of
         # each multiset covers every well-formed action.
-        assert _age_strings(CyclicQuotientType(3, (1, 2))) == ["1", "1"]
-        assert _age_strings(CyclicQuotientType(1, (0, 0))) == []
+        assert _terminal_ages(CyclicQuotientType(3, (1, 2))) == (False, ["1", "1"])
+        assert _terminal_ages(CyclicQuotientType(1, (0, 0))) == (True, [])
         for r in range(2, 31):
             for n in (2, 3):
                 for twists in itertools.combinations_with_replacement(range(r), n):
-                    if any(math.gcd(r, *twists[:i], *twists[i + 1 :]) != 1 for i in range(n)):
+                    if not well_formed(r, twists):
                         continue
                     q = CyclicQuotientType(r, twists)
-                    assert _age_strings(q) == [str(a) for a in reid_tai_ages(q)], (r, twists)
+                    verdict, ages = _terminal_ages(q)
+                    assert ages == [str(a) for a in reid_tai_ages(q)], (r, twists)
+                    assert verdict == is_terminal(q), (r, twists)
+
+    def test_matches_terminal_lemma(self):
+        # The terminal lemma decides dimension 3 without forming an age.
+        # 1/5(2,3,2) is 1/5(1,4,1) under the generator j = 3.
+        assert terminal_lemma(5, (2, 3, 2))
+        assert is_terminal(CyclicQuotientType(5, (2, 3, 2)))
+        checked = 0
+        for r in range(2, 31):
+            for twists in itertools.combinations_with_replacement(range(r), 3):
+                if not well_formed(r, twists):
+                    continue
+                q = CyclicQuotientType(r, twists)
+                assert is_terminal(q) == terminal_lemma(r, twists), (r, twists)
+                checked += 1
+        assert checked == 26003
 
     def test_age_boundary_is_not_terminal(self):
         # Ages equal to 1 must fail the strict inequality.
@@ -181,6 +205,19 @@ class TestIsTerminalBlowup:
         assert is_terminal_blowup(Weight((1, 1)))
         assert not is_terminal_blowup(Weight((2, 3)))
         assert not is_terminal_blowup(Weight((10, 14, 35)))
+
+    def test_chart_quotients_are_well_formed(self):
+        # The charts module docstring proves that no chart quotient is ill
+        # formed, so the blow-up verdict never raises ILL_FORMED_ACTION.
+        for k, tail in itertools.product(range(1, 5), range(2)):
+            for entries in itertools.product(range(1, 7), repeat=k):
+                if math.gcd(*entries) != 1:
+                    continue
+                w = Weight(entries + (0,) * tail)
+                for chart in charts(w).charts:
+                    q = chart.quotient
+                    assert well_formed(q.order, q.twists), (w, chart.index)
+                is_terminal_blowup(w)
 
     def test_family_weights_are_terminal(self):
         for b, r, pad in itertools.product(range(1, 7), range(0, 4), range(0, 3)):

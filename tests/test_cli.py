@@ -305,6 +305,22 @@ class TestTerminal:
         assert code == 2
         assert doc["error"]["code"] == "ILL_FORMED_ACTION"
 
+    def test_quotient_mode_forms_the_ages_once(self, capsys, monkeypatch):
+        # The verdict and the printed ages come from one pass of the sums.
+        module = sys.modules["wblowup.charts"]
+        age_sums, calls = module._age_sums, []
+
+        def counted(q):
+            calls.append(q)
+            return age_sums(q)
+
+        monkeypatch.setattr(module, "_age_sums", counted)
+        code, doc = run(capsys, "terminal", "--json", "--r", "7", "--twists", "2,5,1")
+        assert code == 0
+        assert doc["result"]["terminal"] is True
+        assert doc["result"]["ages"] == ["8/7", "9/7", "10/7", "11/7", "12/7", "13/7"]
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("r, twists", [("3", "1,0,0"), ("4", "1,2,2")])
     def test_pseudo_reflection_is_an_error(self, capsys, r, twists):
         code, doc = run(capsys, "terminal", "--json", "--r", r, "--twists", twists)
@@ -469,6 +485,16 @@ class TestErrors:
                 "pass either --L with --d, or --d-max with --L-max",
             ),
             (
+                ["normality", "--weight", "1,1", "--n", "2", "--L", "3", "--d", "2",
+                 "--d-max", "3", "--L-max", "10"],
+                "pass either --L with --d, or --d-max with --L-max, not both",
+            ),
+            (
+                ["normality", "--weight", "1,1", "--n", "2", "--d", "2",
+                 "--d-max", "3", "--L-max", "10"],
+                "pass either --L with --d, or --d-max with --L-max, not both",
+            ),
+            (
                 ["symbolic", "--gens", "x1", "--weight", "1,1", "--n", "2", "--t", "2"],
                 "pass either --gens or --weight/--L, not both",
             ),
@@ -484,9 +510,19 @@ class TestErrors:
             (["terminal", "--r", "3"], "--twists is required together with --r"),
             (["terminal", "--r", "3", "--twists", "1,a"], "malformed twists '1,a'"),
             (["terminal"], "pass either --r with --twists, or --weight"),
+            (
+                ["terminal", "--r", "3", "--twists", "2,2,1", "--weight", "10,14,35", "--n", "3"],
+                "pass either --r with --twists, or --weight, not both",
+            ),
+            (
+                ["terminal", "--twists", "2,2,1", "--weight", "1,1,2", "--n", "3"],
+                "pass either --r with --twists, or --weight, not both",
+            ),
         ],
         ids=[
             "normality-no-mode",
+            "normality-check-and-find",
+            "normality-d-and-find",
             "symbolic-gens-and-weight",
             "symbolic-gens-and-L",
             "symbolic-weight-no-L",
@@ -494,6 +530,8 @@ class TestErrors:
             "terminal-r-no-twists",
             "terminal-malformed-twists",
             "terminal-no-mode",
+            "terminal-r-and-weight",
+            "terminal-twists-and-weight",
         ],
     )
     def test_argument_combination(self, capsys, argv, message):
