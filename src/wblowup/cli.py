@@ -1,10 +1,11 @@
 """Command line front end.
 
-Every subcommand builds one structured document
+`main` builds every document, one structured envelope
 
     {"schema_version": 1, "command": ..., "inputs": ..., "result": ...,
      "witnesses": [...], "checks": [...]}
 
+into which a subcommand's handler fills only the fields it sets.  It is
 rendered as JSON under --json and as plain lines otherwise.  Exit status:
 0 on success, 1 when --strict is set and the run produced a negative
 verdict (NOT_EQUAL, false, a failed check, or an exhausted search), 2 on
@@ -28,7 +29,7 @@ from .charts import (
 )
 from .contraction import contraction_profile, validate_profile
 from .errors import InvalidArgumentError, WblowupError
-from .monomials import minimalize
+from .monomials import EqualityVerdict, minimalize
 from .parsing import (
     format_monomial,
     format_polynomial,
@@ -47,32 +48,45 @@ from .weights import (
 SCHEMA_VERSION = 1
 
 
-def _document(
-    command: str,
-    inputs: dict,
-    result: Any,
-    witnesses: Sequence[str] = (),
-    checks: Sequence[dict] = (),
-) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "witnesses": list(witnesses),
-        "checks": list(checks),
-    }
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
-def _ambient_dim(args: argparse.Namespace, flag: str) -> int:
-    if args.n is None:
-        raise InvalidArgumentError(f"--n is required together with {flag}")
-    return args.n
+def _required(args: argparse.Namespace, dest: str, leading: str) -> Any:
+    value = getattr(args, dest)
+    if value is None:
+        raise InvalidArgumentError(f"{_flag(dest)} is required together with {_flag(leading)}")
+    return value
+
+
+def _mode(args: argparse.Namespace, first: Sequence[str], second: Sequence[str]) -> bool:
+    """Whether a two-mode command runs its first mode rather than its second.
+
+    Each mode is a group of argparse destinations: a leading flag, then the
+    flags it requires.  Flags of both groups, a leading flag without one it
+    requires, and no leading flag are refused in that order, before any
+    other error of the command.
+    """
+    groups = (first, second)
+    either = ", or ".join(" with ".join(map(_flag, group)) for group in groups)
+    if all(any(getattr(args, dest) is not None for dest in group) for group in groups):
+        raise InvalidArgumentError(f"pass either {either}, not both")
+    for group in groups:
+        if getattr(args, group[0]) is not None:
+            for dest in group[1:]:
+                _required(args, dest, group[0])
+            return group is first
+    raise InvalidArgumentError(f"pass either {either}")
 
 
 def _weight_inputs(args: argparse.Namespace) -> tuple:
-    w = parse_weight(args.weight, _ambient_dim(args, "--weight"))
+    w = parse_weight(args.weight, _required(args, "n", "weight"))
     return w, {"weight": list(w.entries), "n": w.n}
+
+
+def _compared(inputs: dict, result: dict, verdict: EqualityVerdict) -> dict:
+    witnesses = [format_monomial(verdict.witness)] if verdict.witness else []
+    return {"inputs": inputs, "result": result, "witnesses": witnesses}
 
 
 def _cmd_wt(args: argparse.Namespace) -> tuple[dict, bool]:
@@ -80,7 +94,7 @@ def _cmd_wt(args: argparse.Namespace) -> tuple[dict, bool]:
     f = parse_polynomial(args.polynomial, w.n)
     inputs["polynomial"] = format_polynomial(f)
     value = sigma_wt(w, f)
-    return _document("wt", inputs, {"sigma_wt": value}), False
+    return {"inputs": inputs, "result": {"sigma_wt": value}}, False
 
 
 def _cmd_ideal(args: argparse.Namespace) -> tuple[dict, bool]:
@@ -88,48 +102,31 @@ def _cmd_ideal(args: argparse.Namespace) -> tuple[dict, bool]:
     inputs["d"] = args.d
     ideal = weighted_ideal_gens(w, args.d)
     gens = [format_monomial(g) for g in ideal.generators]
-    return _document("ideal", inputs, {"generators": gens, "count": len(gens)}), False
+    return {"inputs": inputs, "result": {"generators": gens, "count": len(gens)}}, False
 
 
 def _cmd_normality(args: argparse.Namespace) -> tuple[dict, bool]:
-    if (args.L is not None or args.d is not None) and (args.d_max, args.L_max) != (None, None):
-        raise InvalidArgumentError("pass either --L with --d, or --d-max with --L-max, not both")
+    check = _mode(args, ("L", "d"), ("d_max", "L_max"))
     w, inputs = _weight_inputs(args)
-    if args.L is not None:
-        if args.d is None:
-            raise InvalidArgumentError("--d is required together with --L")
+    if check:
         inputs.update({"L": args.L, "d": args.d})
         verdict = power_equality(w, args.L, args.d)
-        doc = _document(
-            "normality",
-            inputs,
-            {"mode": "check", "verdict": verdict.verdict},
-            witnesses=[format_monomial(verdict.witness)] if verdict.witness else [],
-        )
-        return doc, not verdict.equal
-    if args.d_max is None or args.L_max is None:
-        raise InvalidArgumentError("pass either --L with --d, or --d-max with --L-max")
+        result = {"mode": "check", "verdict": verdict.verdict}
+        return _compared(inputs, result, verdict), not verdict.equal
     inputs.update({"d_max": args.d_max, "L_max": args.L_max})
     index = find_normality_index(w, args.d_max, args.L_max)
-    doc = _document("normality", inputs, {"mode": "find", "normality_index": index})
-    return doc, index is None
+    return {"inputs": inputs, "result": {"mode": "find", "normality_index": index}}, index is None
 
 
 def _cmd_symbolic(args: argparse.Namespace) -> tuple[dict, bool]:
-    if args.gens is not None:
-        if args.weight is not None or args.L is not None:
-            raise InvalidArgumentError("pass either --gens or --weight/--L, not both")
-        n = _ambient_dim(args, "--gens")
+    if _mode(args, ("gens",), ("weight", "L")):
+        n = _required(args, "n", "gens")
         ideal = minimalize([parse_monomial(text.strip(), n) for text in args.gens.split(",")], n)
         inputs: dict = {"n": n, "generators": [format_monomial(g) for g in ideal.generators]}
-    elif args.weight is not None:
-        if args.L is None:
-            raise InvalidArgumentError("--L is required together with --weight")
+    else:
         w, inputs = _weight_inputs(args)
         inputs["L"] = args.L
         ideal = weighted_ideal_gens(w, args.L)
-    else:
-        raise InvalidArgumentError("pass either --gens, or --weight with --L")
     inputs["t"] = args.t
     primary = as_primary(ideal)
     sym, verdict = compare_symbolic_power(primary, args.t)
@@ -138,13 +135,7 @@ def _cmd_symbolic(args: argparse.Namespace) -> tuple[dict, bool]:
         "symbolic_generators": [format_monomial(g) for g in sym.generators],
         "verdict": verdict.verdict,
     }
-    doc = _document(
-        "symbolic",
-        inputs,
-        result,
-        witnesses=[format_monomial(verdict.witness)] if verdict.witness else [],
-    )
-    return doc, not verdict.equal
+    return _compared(inputs, result, verdict), not verdict.equal
 
 
 def _cmd_charts(args: argparse.Namespace) -> tuple[dict, bool]:
@@ -160,15 +151,11 @@ def _cmd_charts(args: argparse.Namespace) -> tuple[dict, bool]:
         for c in atlas.charts
     ]
     result = {"cartier_index": atlas.cartier_index, "charts": chart_docs}
-    return _document("charts", inputs, result), False
+    return {"inputs": inputs, "result": result}, False
 
 
 def _cmd_terminal(args: argparse.Namespace) -> tuple[dict, bool]:
-    if args.weight is not None and (args.r, args.twists) != (None, None):
-        raise InvalidArgumentError("pass either --r with --twists, or --weight, not both")
-    if args.r is not None:
-        if args.twists is None:
-            raise InvalidArgumentError("--twists is required together with --r")
+    if _mode(args, ("r", "twists"), ("weight", "n")):
         try:
             twists = tuple(int(p.strip()) for p in args.twists.split(","))
         except ValueError as exc:
@@ -177,9 +164,7 @@ def _cmd_terminal(args: argparse.Namespace) -> tuple[dict, bool]:
         inputs = {"r": q.order, "twists": list(q.twists)}
         verdict, ages = _terminal_ages(q)
         result = {"mode": "quotient", "terminal": verdict, "ages": ages}
-        return _document("terminal", inputs, result), not verdict
-    if args.weight is None:
-        raise InvalidArgumentError("pass either --r with --twists, or --weight")
+        return {"inputs": inputs, "result": result}, not verdict
     w, inputs = _weight_inputs(args)
     chart_docs = [
         {"index": c.index, "order": c.quotient.order, "terminal": is_terminal(c.quotient)}
@@ -187,7 +172,7 @@ def _cmd_terminal(args: argparse.Namespace) -> tuple[dict, bool]:
     ]
     verdict = all(c["terminal"] for c in chart_docs)
     result = {"mode": "blowup", "terminal": verdict, "charts": chart_docs}
-    return _document("terminal", inputs, result), not verdict
+    return {"inputs": inputs, "result": result}, not verdict
 
 
 def _cmd_push(args: argparse.Namespace) -> tuple[dict, bool]:
@@ -195,7 +180,7 @@ def _cmd_push(args: argparse.Namespace) -> tuple[dict, bool]:
     f = parse_polynomial(args.polynomial, w.n)
     inputs.update({"d": args.d, "polynomial": format_polynomial(f)})
     member = pushforward_membership(w, args.d, f)
-    return _document("push", inputs, {"member": member}), not member
+    return {"inputs": inputs, "result": {"member": member}}, not member
 
 
 def _cmd_profile(args: argparse.Namespace) -> tuple[dict, bool]:
@@ -215,7 +200,7 @@ def _cmd_profile(args: argparse.Namespace) -> tuple[dict, bool]:
     checks = [
         {"name": c.name, "passed": c.passed, "detail": c.detail} for c in report.checks
     ]
-    return _document("profile", inputs, result, checks=checks), not report.all_pass
+    return {"inputs": inputs, "result": result, "checks": checks}, not report.all_pass
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,27 +301,25 @@ def _human_lines(doc: dict) -> list[str]:
     return lines
 
 
-def _emit(doc: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(doc, indent=2))
-    else:
-        print("\n".join(_human_lines(doc)))
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.command,
+        "inputs": {},
+        "result": None,
+        "witnesses": [],
+        "checks": [],
+    }
     try:
-        doc, negative = args.handler(args)
+        body, negative = args.handler(args)
+        doc.update(body)
+        status = 1 if args.strict and negative else 0
     except WblowupError as exc:
-        error_doc = _document(args.command, {}, None)
-        error_doc["error"] = {"code": exc.code, "message": str(exc)}
-        _emit(error_doc, args.json)
-        return 2
-    _emit(doc, args.json)
-    if args.strict and negative:
-        return 1
-    return 0
+        doc["error"] = {"code": exc.code, "message": str(exc)}
+        status = 2
+    print(json.dumps(doc, indent=2) if args.json else "\n".join(_human_lines(doc)))
+    return status
 
 
 if __name__ == "__main__":

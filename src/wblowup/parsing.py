@@ -211,8 +211,11 @@ def parse_weight(text: str, ambient_dim: int) -> Weight:
 
     The entries listed must be the positive ones; shape violations (a zero
     or negative entry, gcd above 1, more entries than variables) raise
-    InvalidWeightError.
+    InvalidWeightError; an ambient dimension below 1 raises
+    InvalidArgumentError first, as in parse_polynomial.
     """
+    if ambient_dim < 1:
+        raise InvalidArgumentError("ambient dimension must be at least 1")
     parts = [p.strip() for p in text.split(",")]
     if any(not p for p in parts):
         raise InvalidWeightError(f"malformed weight text {text!r}")

@@ -449,12 +449,19 @@ class TestErrors:
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_non_positive_ambient_dimension(self, capsys, n):
-        code, doc = run(capsys, "symbolic", "--json", "--gens", "x1", "--n", n, "--t", "2")
-        assert code == 2
-        assert doc["error"] == {
-            "code": "INVALID_ARGUMENT",
-            "message": "ambient dimension must be at least 1",
-        }
+        # The same error whether the dimension meets a polynomial or a
+        # weight first; a weight used to report INVALID_WEIGHT instead.
+        for argv in (
+            ["symbolic", "--gens", "x1", "--t", "2"],
+            ["ideal", "--weight", "1,2", "--d", "2"],
+            ["terminal", "--weight", "1,2"],
+        ):
+            code, doc = run(capsys, *argv, "--n", n, "--json")
+            assert code == 2, argv
+            assert doc["error"] == {
+                "code": "INVALID_ARGUMENT",
+                "message": "ambient dimension must be at least 1",
+            }, argv
 
     def test_parse_error(self, capsys):
         code, doc = run(
@@ -495,43 +502,73 @@ class TestErrors:
                 "pass either --L with --d, or --d-max with --L-max, not both",
             ),
             (
+                ["normality", "--weight", "1,1", "--n", "2", "--d-max", "3"],
+                "--L-max is required together with --d-max",
+            ),
+            (
+                ["normality", "--weight", "1,1", "--n", "2", "--L-max", "10"],
+                "pass either --L with --d, or --d-max with --L-max",
+            ),
+            (
+                ["normality", "--weight", "2,4", "--n", "2", "--L", "3"],
+                "--d is required together with --L",
+            ),
+            (
                 ["symbolic", "--gens", "x1", "--weight", "1,1", "--n", "2", "--t", "2"],
-                "pass either --gens or --weight/--L, not both",
+                "pass either --gens, or --weight with --L, not both",
             ),
             (
                 ["symbolic", "--gens", "x1^2,x1*x2", "--n", "2", "--L", "5", "--t", "2"],
-                "pass either --gens or --weight/--L, not both",
+                "pass either --gens, or --weight with --L, not both",
             ),
             (
                 ["symbolic", "--weight", "1,1", "--n", "2", "--t", "2"],
                 "--L is required together with --weight",
             ),
             (["symbolic", "--n", "2", "--t", "2"], "pass either --gens, or --weight with --L"),
+            (
+                ["symbolic", "--L", "5", "--n", "2", "--t", "2"],
+                "pass either --gens, or --weight with --L",
+            ),
             (["terminal", "--r", "3"], "--twists is required together with --r"),
             (["terminal", "--r", "3", "--twists", "1,a"], "malformed twists '1,a'"),
-            (["terminal"], "pass either --r with --twists, or --weight"),
+            (["terminal"], "pass either --r with --twists, or --weight with --n"),
+            (
+                ["terminal", "--twists", "2,2,1"],
+                "pass either --r with --twists, or --weight with --n",
+            ),
             (
                 ["terminal", "--r", "3", "--twists", "2,2,1", "--weight", "10,14,35", "--n", "3"],
-                "pass either --r with --twists, or --weight, not both",
+                "pass either --r with --twists, or --weight with --n, not both",
             ),
             (
                 ["terminal", "--twists", "2,2,1", "--weight", "1,1,2", "--n", "3"],
-                "pass either --r with --twists, or --weight, not both",
+                "pass either --r with --twists, or --weight with --n, not both",
+            ),
+            (
+                ["terminal", "--r", "3", "--twists", "2,2,1", "--n", "7"],
+                "pass either --r with --twists, or --weight with --n, not both",
             ),
         ],
         ids=[
             "normality-no-mode",
             "normality-check-and-find",
             "normality-d-and-find",
+            "normality-d-max-no-L-max",
+            "normality-L-max-only",
+            "normality-mode-before-weight",
             "symbolic-gens-and-weight",
             "symbolic-gens-and-L",
             "symbolic-weight-no-L",
             "symbolic-no-ideal",
+            "symbolic-L-only",
             "terminal-r-no-twists",
             "terminal-malformed-twists",
             "terminal-no-mode",
+            "terminal-twists-only",
             "terminal-r-and-weight",
             "terminal-twists-and-weight",
+            "terminal-r-and-n",
         ],
     )
     def test_argument_combination(self, capsys, argv, message):
@@ -617,6 +654,278 @@ class TestHumanOutput:
         code, out = run_text(capsys, "ideal", "--weight", "2,4", "--n", "2", "--d", "1")
         assert code == 2
         assert out.startswith("error[INVALID_WEIGHT]")
+
+
+# Whole documents as the parent of the one-envelope change printed them.
+_PINNED = {
+    "symbolic-gens": (
+        ["symbolic", "--gens", "x1^2,x1*x2", "--n", "2", "--t", "2"],
+        0,
+        "radical_vars: 1\nsymbolic_generators: x1^2\nverdict: NOT_EQUAL\nwitness: x1^2\n",
+        {
+            "schema_version": 1,
+            "command": "symbolic",
+            "inputs": {"n": 2, "generators": ["x1^2", "x1*x2"], "t": 2},
+            "result": {
+                "radical_vars": [1],
+                "symbolic_generators": ["x1^2"],
+                "verdict": "NOT_EQUAL",
+            },
+            "witnesses": ["x1^2"],
+            "checks": [],
+        },
+    ),
+    "symbolic-weight": (
+        ["symbolic", "--weight", "1,1,2", "--n", "3", "--L", "2", "--t", "2"],
+        0,
+        "radical_vars: 1, 2, 3\n"
+        "symbolic_generators: x3^2, x1^2*x3, x1*x2*x3, x2^2*x3, x1^4, x1^3*x2, x1^2*x2^2, "
+        "x1*x2^3, x2^4\n"
+        "verdict: EQUAL\n",
+        {
+            "schema_version": 1,
+            "command": "symbolic",
+            "inputs": {"weight": [1, 1, 2], "n": 3, "L": 2, "t": 2},
+            "result": {
+                "radical_vars": [1, 2, 3],
+                "symbolic_generators": [
+                    "x3^2", "x1^2*x3", "x1*x2*x3", "x2^2*x3",
+                    "x1^4", "x1^3*x2", "x1^2*x2^2", "x1*x2^3", "x2^4",
+                ],
+                "verdict": "EQUAL",
+            },
+            "witnesses": [],
+            "checks": [],
+        },
+    ),
+    "charts": (
+        ["charts", "--weight", "10,14,35", "--n", "3"],
+        0,
+        "cartier_index: 70\n"
+        "charts[]: index=1, quotient={'order': 10, 'twists': [1, 6, 5]}, "
+        "map=['x1^10', 'x1^14*x2', 'x1^35*x3'], exceptional_coordinate=x1\n"
+        "charts[]: index=2, quotient={'order': 14, 'twists': [4, 1, 7]}, "
+        "map=['x1*x2^10', 'x2^14', 'x2^35*x3'], exceptional_coordinate=x2\n"
+        "charts[]: index=3, quotient={'order': 35, 'twists': [25, 21, 1]}, "
+        "map=['x1*x3^10', 'x2*x3^14', 'x3^35'], exceptional_coordinate=x3\n",
+        {
+            "schema_version": 1,
+            "command": "charts",
+            "inputs": {"weight": [10, 14, 35], "n": 3},
+            "result": {
+                "cartier_index": 70,
+                "charts": [
+                    {
+                        "index": 1,
+                        "quotient": {"order": 10, "twists": [1, 6, 5]},
+                        "map": ["x1^10", "x1^14*x2", "x1^35*x3"],
+                        "exceptional_coordinate": "x1",
+                    },
+                    {
+                        "index": 2,
+                        "quotient": {"order": 14, "twists": [4, 1, 7]},
+                        "map": ["x1*x2^10", "x2^14", "x2^35*x3"],
+                        "exceptional_coordinate": "x2",
+                    },
+                    {
+                        "index": 3,
+                        "quotient": {"order": 35, "twists": [25, 21, 1]},
+                        "map": ["x1*x3^10", "x2*x3^14", "x3^35"],
+                        "exceptional_coordinate": "x3",
+                    },
+                ],
+            },
+            "witnesses": [],
+            "checks": [],
+        },
+    ),
+    "terminal-quotient": (
+        ["terminal", "--r", "3", "--twists", "2,2,1"],
+        0,
+        "mode: quotient\nterminal: True\nages: 5/3, 4/3\n",
+        {
+            "schema_version": 1,
+            "command": "terminal",
+            "inputs": {"r": 3, "twists": [2, 2, 1]},
+            "result": {"mode": "quotient", "terminal": True, "ages": ["5/3", "4/3"]},
+            "witnesses": [],
+            "checks": [],
+        },
+    ),
+    "terminal-blowup": (
+        ["terminal", "--weight", "1,1,2", "--n", "3"],
+        0,
+        "mode: blowup\n"
+        "terminal: True\n"
+        "charts[]: index=1, order=1, terminal=True\n"
+        "charts[]: index=2, order=1, terminal=True\n"
+        "charts[]: index=3, order=2, terminal=True\n",
+        {
+            "schema_version": 1,
+            "command": "terminal",
+            "inputs": {"weight": [1, 1, 2], "n": 3},
+            "result": {
+                "mode": "blowup",
+                "terminal": True,
+                "charts": [
+                    {"index": 1, "order": 1, "terminal": True},
+                    {"index": 2, "order": 1, "terminal": True},
+                    {"index": 3, "order": 2, "terminal": True},
+                ],
+            },
+            "witnesses": [],
+            "checks": [],
+        },
+    ),
+    "push": (
+        ["push", "--weight", "10,14,35", "--n", "3", "--d", "140", "x1^5*x2^4*x3"],
+        0,
+        "member: True\n",
+        {
+            "schema_version": 1,
+            "command": "push",
+            "inputs": {"weight": [10, 14, 35], "n": 3, "d": 140, "polynomial": "x1^5*x2^4*x3"},
+            "result": {"member": True},
+            "witnesses": [],
+            "checks": [],
+        },
+    ),
+    "profile": (
+        ["profile", "--n", "3", "--r", "1", "--b", "2"],
+        0,
+        "tau: 3/2\n"
+        "weight: 1, 1, 2\n"
+        "center_codim: 3\n"
+        "fiber_dim: 2\n"
+        "discrepancy: 3\n"
+        "cartier_index: 2\n"
+        "terminal: True\n"
+        "all_checks_pass: True\n"
+        "[PASS] nef-value-formula: tau = 3/2, expected r + 1/b = 3/2\n"
+        "[PASS] nef-value-bound: tau = 3/2 must be at most n + 1 = 4\n"
+        "[PASS] fiber-dimension: fiber_dim = 2 must equal r + 1 = 2 and dominate tau = 3/2, "
+        "which must exceed r = 1\n"
+        "[PASS] center-codimension: center_codim = 3, expected r + 2 = 3\n"
+        "[PASS] weight-shape: weight = (1, 1, 2), expected (1, 1, 2)\n"
+        "[PASS] discrepancy: discrepancy = 3 must equal r*b + 1 = 3 and b * tau = 3\n"
+        "[PASS] terminality: stored terminal = True, recomputed = True\n",
+        {
+            "schema_version": 1,
+            "command": "profile",
+            "inputs": {"n": 3, "r": 1, "b": 2},
+            "result": {
+                "tau": "3/2",
+                "weight": [1, 1, 2],
+                "center_codim": 3,
+                "fiber_dim": 2,
+                "discrepancy": 3,
+                "cartier_index": 2,
+                "terminal": True,
+                "all_checks_pass": True,
+            },
+            "witnesses": [],
+            "checks": [
+                {
+                    "name": "nef-value-formula",
+                    "passed": True,
+                    "detail": "tau = 3/2, expected r + 1/b = 3/2",
+                },
+                {
+                    "name": "nef-value-bound",
+                    "passed": True,
+                    "detail": "tau = 3/2 must be at most n + 1 = 4",
+                },
+                {
+                    "name": "fiber-dimension",
+                    "passed": True,
+                    "detail": "fiber_dim = 2 must equal r + 1 = 2 and dominate tau = 3/2, "
+                    "which must exceed r = 1",
+                },
+                {
+                    "name": "center-codimension",
+                    "passed": True,
+                    "detail": "center_codim = 3, expected r + 2 = 3",
+                },
+                {
+                    "name": "weight-shape",
+                    "passed": True,
+                    "detail": "weight = (1, 1, 2), expected (1, 1, 2)",
+                },
+                {
+                    "name": "discrepancy",
+                    "passed": True,
+                    "detail": "discrepancy = 3 must equal r*b + 1 = 3 and b * tau = 3",
+                },
+                {
+                    "name": "terminality",
+                    "passed": True,
+                    "detail": "stored terminal = True, recomputed = True",
+                },
+            ],
+        },
+    ),
+    "library-error": (
+        ["ideal", "--weight", "2,4", "--n", "2", "--d", "3"],
+        2,
+        "error[INVALID_WEIGHT]: gcd of the positive entries must be 1, got (2, 4)\n",
+        {
+            "schema_version": 1,
+            "command": "ideal",
+            "inputs": {},
+            "result": None,
+            "witnesses": [],
+            "checks": [],
+            "error": {
+                "code": "INVALID_WEIGHT",
+                "message": "gcd of the positive entries must be 1, got (2, 4)",
+            },
+        },
+    ),
+    "mode-error": (
+        ["normality", "--weight", "1,1", "--n", "2"],
+        2,
+        "error[INVALID_ARGUMENT]: pass either --L with --d, or --d-max with --L-max\n",
+        {
+            "schema_version": 1,
+            "command": "normality",
+            "inputs": {},
+            "result": None,
+            "witnesses": [],
+            "checks": [],
+            "error": {
+                "code": "INVALID_ARGUMENT",
+                "message": "pass either --L with --d, or --d-max with --L-max",
+            },
+        },
+    ),
+    "parse-error": (
+        ["wt", "--weight", "1,1", "--n", "2", "2x1"],
+        2,
+        "error[PARSE_ERROR]: missing '*' between coefficient and variable (at position 1)\n",
+        {
+            "schema_version": 1,
+            "command": "wt",
+            "inputs": {},
+            "result": None,
+            "witnesses": [],
+            "checks": [],
+            "error": {
+                "code": "PARSE_ERROR",
+                "message": "missing '*' between coefficient and variable (at position 1)",
+            },
+        },
+    ),
+}
+
+
+class TestPinnedDocuments:
+    """Whole documents, byte for byte: the plain lines, and the JSON with its key order."""
+
+    @pytest.mark.parametrize("case", list(_PINNED))
+    def test_document(self, capsys, case):
+        argv, status, plain, document = _PINNED[case]
+        assert run_text(capsys, *argv) == (status, plain)
+        assert run_text(capsys, *argv, "--json") == (status, json.dumps(document, indent=2) + "\n")
 
 
 _CI_IDEAL = "x1^6,x2^5,x3^4,x1^2*x4^12,x2*x3*x5^11,x1*x2*x4^3*x5^7"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import polynomials
-from wblowup.errors import InvalidWeightError, PolynomialSyntaxError
+from wblowup.errors import InvalidArgumentError, InvalidWeightError, PolynomialSyntaxError
 from wblowup.monomials import Monomial, Polynomial
 from wblowup.parsing import (
     format_monomial,
@@ -169,6 +169,13 @@ class TestParseWeight:
         with pytest.raises(InvalidWeightError) as exc:
             parse_weight("", 2)
         assert exc.value.code == "INVALID_WEIGHT"
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_non_positive_ambient_dimension(self, n):
+        # Checked before the entries, as parse_polynomial does: the text
+        # "1,2" is not at fault.
+        with pytest.raises(InvalidArgumentError, match="ambient dimension must be at least 1"):
+            parse_weight("1,2", n)
 
     def test_format_inverts_parse(self):
         for text, n in [("10,14,35", 3), ("1,1,2", 5), ("1", 2)]:
