@@ -4,11 +4,13 @@ Blowing up the origin-centered coordinate subspace with a weight
 (a1, ..., ak, 0, ..., 0) covers the result with one chart per positive
 entry.  Chart i is the quotient of affine n-space by a cyclic group of
 order a_i acting diagonally with twists (-a1, ..., 1, ..., -ak, 0, ..., 0)
-(the 1 sits in slot i, everything reduced mod a_i), and the blow-down map
-is the monomial substitution recorded in ``chart_map``.  The exceptional
-divisor is cut out by the i-th chart coordinate, and a polynomial vanishes
-along it to the order of its weighted degree, so ``pushforward_membership``
-answers by ``sigma_wt``; tests/oracles.py checks this chart by chart.
+(the 1 sits in slot i, everything reduced mod a_i).  Its blow-down map,
+recorded in ``chart_map``, follows one rule: x_i -> u_i^(a_i), and
+x_j -> u_j * u_i^(a_j) for j != i.  The terminality verdicts read only the
+quotients and build no map.  The exceptional divisor is cut out by the
+i-th chart coordinate, and a polynomial vanishes along it to the order of
+its weighted degree, so ``pushforward_membership`` answers by
+``sigma_wt``; tests/oracles.py checks this chart by chart.
 
 Terminality of a cyclic quotient is decided by the Reid-Tai criterion:
 every nontrivial group element must have age strictly greater than 1,
@@ -88,8 +90,7 @@ class BlowupAtlas:
     charts: tuple[ChartDescription, ...]
 
     def __post_init__(self) -> None:
-        k = self.weight.k
-        if len(self.charts) != k:
+        if len(self.charts) != self.weight.k:
             raise InvalidArgumentError("expected exactly one chart per positive weight entry")
         for pos, chart in enumerate(self.charts, start=1):
             if chart.index != pos:
@@ -103,25 +104,25 @@ class BlowupAtlas:
         return cartier_index(self.weight)
 
 
+def _chart_quotients(w: Weight) -> Iterator[CyclicQuotientType]:
+    """Chart i's quotient 1/a_i(-a_1, ..., 1, ..., -a_n), in chart order."""
+    twists = [-a for a in w.entries]
+    for i, ai in enumerate(w.nonzero):
+        yield CyclicQuotientType(ai, (*twists[:i], 1, *twists[i + 1 :]))
+
+
 def charts(w: Weight) -> BlowupAtlas:
     """Atlas of the blow-up of x1 = ... = xk = 0 with the given weight."""
-    n, k = w.n, w.k
+    n = w.n
     descriptions = []
-    for i in range(1, k + 1):
-        ai = w.entries[i - 1]
-        twists = tuple(1 if j == i else -w.entries[j - 1] for j in range(1, n + 1))
+    for i, q in enumerate(_chart_quotients(w)):
         images = []
-        for j in range(1, n + 1):
+        for j, aj in enumerate(w.entries):
             exps = [0] * n
-            if j == i:
-                exps[i - 1] = ai
-            elif j <= k:
-                exps[j - 1] = 1
-                exps[i - 1] = w.entries[j - 1]
-            else:
-                exps[j - 1] = 1
+            exps[j] = 1
+            exps[i] = aj  # x_j -> u_j * u_i^(a_j); for j == i this leaves u_i^(a_i)
             images.append(Monomial(tuple(exps)))
-        descriptions.append(ChartDescription(i, CyclicQuotientType(ai, twists), tuple(images)))
+        descriptions.append(ChartDescription(i + 1, q, tuple(images)))
     return BlowupAtlas(w, tuple(descriptions))
 
 
@@ -182,16 +183,16 @@ def _age_sums(q: CyclicQuotientType) -> Iterator[int]:
 
 def is_terminal_blowup(w: Weight) -> bool:
     """True iff every chart quotient passes the Reid-Tai test."""
-    return all(is_terminal(chart.quotient) for chart in charts(w).charts)
+    return all(map(is_terminal, _chart_quotients(w)))
 
 
 def pushforward_membership(w: Weight, d: int, f: Polynomial) -> bool:
     """Does f vanish to order >= d along the exceptional divisor?
 
     The order of f along E is its weighted degree.  On chart i the
-    blow-down map sends x_i to u_i^(a_i), each other x_j with a_j > 0 to
-    u_j * u_i^(a_j) and each x_j with a_j = 0 to u_j, so u_i divides the
-    image of x^s exactly sum_j a_j * s_j = wt(x^s) times.  The substitution is injective on
+    blow-down map sends x_i to u_i^(a_i) and each other x_j to
+    u_j * u_i^(a_j), so u_i divides the image of x^s exactly
+    sum_j a_j * s_j = wt(x^s) times.  The substitution is injective on
     monomials, so no terms of f cancel, and the order of f along E is the
     minimum of wt over its terms: f qualifies iff sigma_wt(w, f) >= d.
     """

@@ -22,13 +22,14 @@ from typing import Any, Optional, Sequence
 
 from .charts import (
     CyclicQuotientType,
+    _chart_quotients,
     _terminal_ages,
     charts,
     is_terminal,
     pushforward_membership,
 )
 from .contraction import contraction_profile, validate_profile
-from .errors import InvalidArgumentError, WblowupError
+from .errors import InvalidArgumentError, PolynomialSyntaxError, WblowupError
 from .monomials import EqualityVerdict, minimalize
 from .parsing import (
     format_monomial,
@@ -121,7 +122,14 @@ def _cmd_normality(args: argparse.Namespace) -> tuple[dict, bool]:
 def _cmd_symbolic(args: argparse.Namespace) -> tuple[dict, bool]:
     if _mode(args, ("gens",), ("weight", "L")):
         n = _required(args, "n", "gens")
-        ideal = minimalize([parse_monomial(text.strip(), n) for text in args.gens.split(",")], n)
+        gens, start = [], 0
+        for piece in args.gens.split(","):
+            try:
+                gens.append(parse_monomial(piece, n))
+            except PolynomialSyntaxError as exc:  # count the position in the whole text
+                raise PolynomialSyntaxError(exc.message, start + exc.position) from None
+            start += len(piece) + 1
+        ideal = minimalize(gens, n)
         inputs: dict = {"n": n, "generators": [format_monomial(g) for g in ideal.generators]}
     else:
         w, inputs = _weight_inputs(args)
@@ -157,7 +165,7 @@ def _cmd_charts(args: argparse.Namespace) -> tuple[dict, bool]:
 def _cmd_terminal(args: argparse.Namespace) -> tuple[dict, bool]:
     if _mode(args, ("r", "twists"), ("weight", "n")):
         try:
-            twists = tuple(int(p.strip()) for p in args.twists.split(","))
+            twists = tuple(map(int, args.twists.split(",")))
         except ValueError as exc:
             raise InvalidArgumentError(f"malformed twists {args.twists!r}") from exc
         q = CyclicQuotientType(args.r, twists)
@@ -167,8 +175,8 @@ def _cmd_terminal(args: argparse.Namespace) -> tuple[dict, bool]:
         return {"inputs": inputs, "result": result}, not verdict
     w, inputs = _weight_inputs(args)
     chart_docs = [
-        {"index": c.index, "order": c.quotient.order, "terminal": is_terminal(c.quotient)}
-        for c in charts(w).charts
+        {"index": i, "order": q.order, "terminal": is_terminal(q)}
+        for i, q in enumerate(_chart_quotients(w), start=1)
     ]
     verdict = all(c["terminal"] for c in chart_docs)
     result = {"mode": "blowup", "terminal": verdict, "charts": chart_docs}

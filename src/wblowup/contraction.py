@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charts import BlowupAtlas, charts, discrepancy, is_terminal, is_terminal_blowup
+from .charts import BlowupAtlas, charts, discrepancy, is_terminal_blowup
 from .errors import InvalidArgumentError, InvariantViolationError, NoSuchContractionError
 from .weights import Weight
 
@@ -78,7 +78,7 @@ def contraction_profile(n: int, r: int, b: int) -> ContractionProfile:
     Requires n >= 2, r >= 0, b >= 1 and r + 2 <= n (the center must fit in
     the ambient space).  r = 0 degenerates to the ordinary smooth blow-up
     weight (1, 1, 0, ..., 0).  Terminality of the blow-up is computed from
-    the charts, not assumed, and a non-terminal verdict raises
+    the chart quotients, not assumed, and a non-terminal verdict raises
     InvariantViolationError.
     """
     if n < 2:
@@ -92,9 +92,7 @@ def contraction_profile(n: int, r: int, b: int) -> ContractionProfile:
             f"no contraction with center codimension {r + 2} in dimension {n}"
         )
     weight = Weight((1, 1) + (b,) * r + (0,) * (n - r - 2))
-    atlas = charts(weight)
-    terminal = all(is_terminal(chart.quotient) for chart in atlas.charts)
-    if not terminal:
+    if not is_terminal_blowup(weight):
         raise InvariantViolationError(
             f"weighted blow-up with weight {weight.entries} of this family is not terminal"
         )
@@ -108,8 +106,8 @@ def contraction_profile(n: int, r: int, b: int) -> ContractionProfile:
         center_codim=weight.k,
         fiber_dim=weight.k - 1,
         discrepancy=disc,
-        charts=atlas,
-        terminal=terminal,
+        charts=charts(weight),
+        terminal=True,
     )
 
 

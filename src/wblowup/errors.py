@@ -85,11 +85,12 @@ class InvariantViolationError(WblowupError):
 class PolynomialSyntaxError(WblowupError):
     """Polynomial or monomial text failed to parse.
 
-    ``position`` is the 0-based character offset of the offending token.
+    ``message`` omits ``position``, the 0-based offset of the offending token.
     """
 
     code = "PARSE_ERROR"
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position

@@ -157,12 +157,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         _same_dim(self.ambient_dim, other.ambient_dim)
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = m1 * m2
-                acc[m] = acc.get(m, Fraction(0)) + c1 * c2
-        return Polynomial.from_terms(acc, self.ambient_dim)
+        products = ((m1 * m2, c1 * c2) for m1, c1 in self.terms for m2, c2 in other.terms)
+        return Polynomial(self.ambient_dim, tuple(products))
 
 
 @dataclass(frozen=True, slots=True)

@@ -92,7 +92,6 @@ class _Parser:
 
     def parse_term(self) -> tuple[Monomial, Fraction]:
         kind, value, _ = self.peek()
-        coeff = Fraction(1)
         if kind == "num":
             self.advance()
             numerator = int(value)
@@ -116,7 +115,7 @@ class _Parser:
                 return self.parse_factors(), coeff
             return Monomial.one(self.n), coeff
         if kind == "var":
-            return self.parse_factors(), coeff
+            return self.parse_factors(), Fraction(1)
         self.fail(f"expected a term, got {value!r}" if value else "expected a term")
         raise AssertionError("unreachable")
 
@@ -192,13 +191,12 @@ def format_polynomial(f: Polynomial) -> str:
     pieces = []
     for position, (m, c) in enumerate(f.terms):
         magnitude = abs(c)
-        body = format_monomial(m)
         if m.is_one():
             rendered = str(magnitude)
         elif magnitude == 1:
-            rendered = body
+            rendered = format_monomial(m)
         else:
-            rendered = f"{magnitude}*{body}"
+            rendered = f"{magnitude}*{format_monomial(m)}"
         if position == 0:
             pieces.append(f"-{rendered}" if c < 0 else rendered)
         else:

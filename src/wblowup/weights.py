@@ -125,9 +125,7 @@ def _minimal_generator_exponents(entries: tuple[int, ...], d: int) -> list[tuple
     minimal, so each prefix costs one step and yields at most one vector.
     """
     n = len(entries)
-    k = 0
-    while k < n and entries[k] > 0:
-        k += 1
+    k = n - entries.count(0)
     if d <= 0:
         return [(0,) * n]
     if k == 0:

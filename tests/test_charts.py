@@ -16,6 +16,7 @@ from wblowup.charts import (
     BlowupAtlas,
     ChartDescription,
     CyclicQuotientType,
+    _chart_quotients,
     _terminal_ages,
     cartier_index,
     charts,
@@ -208,15 +209,17 @@ class TestIsTerminalBlowup:
 
     def test_chart_quotients_are_well_formed(self):
         # The charts module docstring proves that no chart quotient is ill
-        # formed, so the blow-up verdict never raises ILL_FORMED_ACTION.
+        # formed, so the blow-up verdict never raises ILL_FORMED_ACTION.  The
+        # verdict reads `_chart_quotients`, which must give the atlas's quotients.
         for k, tail in itertools.product(range(1, 5), range(2)):
             for entries in itertools.product(range(1, 7), repeat=k):
                 if math.gcd(*entries) != 1:
                     continue
                 w = Weight(entries + (0,) * tail)
-                for chart in charts(w).charts:
-                    q = chart.quotient
-                    assert well_formed(q.order, q.twists), (w, chart.index)
+                quotients = tuple(_chart_quotients(w))
+                assert quotients == tuple(c.quotient for c in charts(w).charts), w
+                for index, q in enumerate(quotients, start=1):
+                    assert well_formed(q.order, q.twists), (w, index)
                 is_terminal_blowup(w)
 
     def test_family_weights_are_terminal(self):

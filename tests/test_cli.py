@@ -321,6 +321,24 @@ class TestTerminal:
         assert doc["result"]["ages"] == ["8/7", "9/7", "10/7", "11/7", "12/7", "13/7"]
         assert len(calls) == 1
 
+    def test_blowup_verdicts_build_no_atlas(self, capsys, monkeypatch):
+        # Both blow-up verdicts read the chart quotients alone: make the
+        # atlas raise wherever the package binds it, then ask them.
+        atlas = sys.modules["wblowup.charts"].charts
+
+        def refuse(w):
+            raise AssertionError(f"a blow-up verdict built the atlas of {w}")
+
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "wblowup" and getattr(module, "charts", None) is atlas:
+                monkeypatch.setattr(module, "charts", refuse)
+        assert sys.modules["wblowup.cli"].charts is refuse
+        assert wblowup.is_terminal_blowup(wblowup.Weight((1, 1, 2)))
+        assert not wblowup.is_terminal_blowup(wblowup.Weight((10, 14, 35)))
+        code, doc = run(capsys, "terminal", "--json", "--weight", "1,1,2", "--n", "3")
+        assert code == 0
+        assert doc["result"]["terminal"] is True
+
     @pytest.mark.parametrize("r, twists", [("3", "1,0,0"), ("4", "1,2,2")])
     def test_pseudo_reflection_is_an_error(self, capsys, r, twists):
         code, doc = run(capsys, "terminal", "--json", "--r", r, "--twists", twists)
@@ -470,6 +488,20 @@ class TestErrors:
         assert code == 2
         assert doc["error"]["code"] == "PARSE_ERROR"
         assert "position" in doc["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "gens, message",
+        [
+            ("x1^2, x2^0", "exponent must be at least 1 (at position 9)"),
+            ("x1,2*x2", "expected a single monomial with coefficient 1 (at position 3)"),
+            ("x1,,x2", "empty input (at position 3)"),
+        ],
+        ids=["exponent-in-second-piece", "refused-piece", "empty-piece"],
+    )
+    def test_gens_parse_positions_count_in_the_whole_text(self, capsys, gens, message):
+        code, doc = run(capsys, "symbolic", "--json", "--gens", gens, "--n", "2", "--t", "2")
+        assert code == 2
+        assert doc["error"] == {"code": "PARSE_ERROR", "message": message}
 
     def test_zero_polynomial(self, capsys):
         code, doc = run(

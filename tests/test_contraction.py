@@ -66,7 +66,7 @@ class TestContractionProfile:
 
     def test_non_terminal_chart_raises(self, monkeypatch):
         # The check is a raise, not an assert, so it also runs under python -O.
-        monkeypatch.setattr(contraction, "is_terminal", lambda q: False)
+        monkeypatch.setattr(contraction, "is_terminal_blowup", lambda w: False)
         with pytest.raises(InvariantViolationError) as exc:
             contraction_profile(4, 2, 3)
         assert exc.value.code == "INVARIANT_VIOLATION"
