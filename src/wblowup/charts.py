@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, compress, count, repeat
 from operator import mod
 from typing import Iterator
 
@@ -149,7 +149,12 @@ def _terminal_ages(q: CyclicQuotientType) -> tuple[bool, list[str]]:
     """The :func:`is_terminal` verdict and the ages as ``str`` prints them, from one pass."""
     r = q.order
     sums = list(_age_sums(q))
-    ages = [f"{s // g}/{r // g}" if (g := math.gcd(s, r)) < r else str(s // r) for s in sums]
+    suffix = f"/{r}"
+    ages = [text + suffix for text in map(str, sums)]
+    # Only the sums that share a factor with r print reduced.
+    for j in compress(count(), map((1).__ne__, map(math.gcd, sums, repeat(r)))):
+        s, g = sums[j], math.gcd(sums[j], r)
+        ages[j] = f"{s // g}/{r // g}" if g < r else str(s // r)
     return all(map(r.__lt__, sums)), ages
 
 
@@ -167,11 +172,14 @@ def _age_sums(q: CyclicQuotientType) -> Iterator[int]:
 
     The action is checked at the call to be well formed: for every coordinate
     i the order and the twists off i must be coprime, or some nontrivial
-    element fixes a hyperplane and Reid-Tai does not apply.
+    element fixes a hyperplane and Reid-Tai does not apply.  The gcd off i
+    joins a prefix gcd with a suffix gcd, so the check is linear in n.
     """
     r, twists = q.order, q.twists
-    for i in range(len(twists)):
-        if math.gcd(r, *twists[:i], *twists[i + 1 :]) != 1:
+    before = accumulate(twists, math.gcd, initial=r)  # gcd(r, twists[:i])
+    after = [*accumulate(reversed(twists), math.gcd, initial=0)][-2::-1]  # gcd(twists[i + 1 :])
+    for i, g in enumerate(map(math.gcd, before, after)):
+        if g != 1:
             raise IllFormedActionError(
                 f"order {r} shares a factor with the twists off coordinate x{i + 1}, "
                 f"twists {twists}"

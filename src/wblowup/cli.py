@@ -6,11 +6,14 @@
      "witnesses": [...], "checks": [...]}
 
 into which a subcommand's handler fills only the fields it sets.  It is
-rendered as JSON under --json and as plain lines otherwise.  Exit status:
-0 on success, 1 when --strict is set and the run produced a negative
-verdict (NOT_EQUAL, false, a failed check, or an exhausted search), 2 on
-any error; error documents carry {"error": {"code", "message"}} with the
-stable code of the underlying exception.
+rendered as plain lines by default and as JSON under --json.  The JSON has
+the same bytes as ``json.dumps(doc, indent=2)``, but ``_render_json`` hands
+each list of scalars to json's C encoder in one call, which ``indent``
+would switch off.  Exit status: 0 on success, 1 when --strict is set and
+the run produced a negative verdict (NOT_EQUAL, false, a failed check, or
+an exhausted search), 2 on any error; error documents carry
+{"error": {"code", "message"}} with the stable code of the underlying
+exception.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .charts import (
     CyclicQuotientType,
     _chart_quotients,
     _terminal_ages,
+    cartier_index,
     charts,
     is_terminal,
     pushforward_membership,
@@ -32,6 +36,7 @@ from .contraction import contraction_profile, validate_profile
 from .errors import InvalidArgumentError, PolynomialSyntaxError, WblowupError
 from .monomials import EqualityVerdict, minimalize
 from .parsing import (
+    _format_monomials,
     format_monomial,
     format_polynomial,
     parse_monomial,
@@ -102,7 +107,7 @@ def _cmd_ideal(args: argparse.Namespace) -> tuple[dict, bool]:
     w, inputs = _weight_inputs(args)
     inputs["d"] = args.d
     ideal = weighted_ideal_gens(w, args.d)
-    gens = [format_monomial(g) for g in ideal.generators]
+    gens = _format_monomials(ideal.generators)
     return {"inputs": inputs, "result": {"generators": gens, "count": len(gens)}}, False
 
 
@@ -130,7 +135,7 @@ def _cmd_symbolic(args: argparse.Namespace) -> tuple[dict, bool]:
                 raise PolynomialSyntaxError(exc.message, start + exc.position) from None
             start += len(piece) + 1
         ideal = minimalize(gens, n)
-        inputs: dict = {"n": n, "generators": [format_monomial(g) for g in ideal.generators]}
+        inputs: dict = {"n": n, "generators": _format_monomials(ideal.generators)}
     else:
         w, inputs = _weight_inputs(args)
         inputs["L"] = args.L
@@ -140,7 +145,7 @@ def _cmd_symbolic(args: argparse.Namespace) -> tuple[dict, bool]:
     sym, verdict = compare_symbolic_power(primary, args.t)
     result = {
         "radical_vars": sorted(primary.radical_vars),
-        "symbolic_generators": [format_monomial(g) for g in sym.generators],
+        "symbolic_generators": _format_monomials(sym.generators),
         "verdict": verdict.verdict,
     }
     return _compared(inputs, result, verdict), not verdict.equal
@@ -153,7 +158,7 @@ def _cmd_charts(args: argparse.Namespace) -> tuple[dict, bool]:
         {
             "index": c.index,
             "quotient": {"order": c.quotient.order, "twists": list(c.quotient.twists)},
-            "map": [format_monomial(m) for m in c.chart_map],
+            "map": _format_monomials(c.chart_map),
             "exceptional_coordinate": f"x{c.index}",
         }
         for c in atlas.charts
@@ -201,7 +206,7 @@ def _cmd_profile(args: argparse.Namespace) -> tuple[dict, bool]:
         "center_codim": profile.center_codim,
         "fiber_dim": profile.fiber_dim,
         "discrepancy": profile.discrepancy,
-        "cartier_index": profile.charts.cartier_index,
+        "cartier_index": cartier_index(profile.weight),
         "terminal": profile.terminal,
         "all_checks_pass": report.all_pass,
     }
@@ -309,6 +314,35 @@ def _human_lines(doc: dict) -> list[str]:
     return lines
 
 
+def _render_json(value: Any, indent: str, out: list[str]) -> None:
+    """Append ``json.dumps(value, indent=2)`` at depth ``indent`` to out, in chunks.
+
+    Keys must be str; tuples render as lists, as in ``json``.
+    """
+    if isinstance(value, dict) and value:
+        inner = indent + "  "
+        opening = "{\n" + inner
+        for key, item in value.items():
+            out.append(f"{opening}{json.dumps(key)}: ")
+            _render_json(item, inner, out)
+            opening = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = indent + "  "
+        if {dict, list, tuple}.isdisjoint(map(type, value)):
+            encoder = json.JSONEncoder(separators=(",\n" + inner, ": "))
+            out.append(f"[\n{inner}{encoder.encode(value)[1:-1]}\n{indent}]")
+            return
+        opening = "[\n" + inner
+        for item in value:
+            out.append(opening)
+            _render_json(item, inner, out)
+            opening = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        out.append(json.dumps(value))
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     doc = {
@@ -326,7 +360,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except WblowupError as exc:
         doc["error"] = {"code": exc.code, "message": str(exc)}
         status = 2
-    print(json.dumps(doc, indent=2) if args.json else "\n".join(_human_lines(doc)))
+    if args.json:
+        chunks: list[str] = []
+        _render_json(doc, "", chunks)
+        print("".join(chunks))
+    else:
+        print("\n".join(_human_lines(doc)))
     return status
 
 

@@ -6,13 +6,13 @@ carrying r copies of b.  The profile reads its numbers off that weight w.
 With K_X = f^*K_Y + discrepancy(w) E and the polarization L = f^*A - bE,
 a curve C in a fiber has nef value tau = -K.C / L.C = discrepancy(w) / b.
 The center codimension is the number k of positive entries and the fibers
-P(w) have dimension k - 1.  The chart atlas and its terminality verdict are
-recorded as well.  ``validate_profile`` checks each number against its
-closed form in (n, r, b) (tau = r + 1/b, fiber dimension r + 1,
-discrepancy r*b + 1) and reports per-check results, so a hand-edited
-profile pinpoints exactly which relation broke.  tests/oracles.py sweeps
-small weights and finds this family to be the only one with tau > k - 2
-and a terminal blow-up.
+P(w) have dimension k - 1.  The terminality verdict is recorded as well,
+and the chart atlas is built from the weight when it is read.
+``validate_profile`` checks each number against its closed form in
+(n, r, b) (tau = r + 1/b, fiber dimension r + 1, discrepancy r*b + 1) and
+reports per-check results, so a hand-edited profile pinpoints exactly
+which relation broke.  tests/oracles.py sweeps small weights and finds
+this family to be the only one with tau > k - 2 and a terminal blow-up.
 """
 
 from __future__ import annotations
@@ -68,8 +68,12 @@ class ContractionProfile:
     center_codim: int
     fiber_dim: int
     discrepancy: int
-    charts: BlowupAtlas
     terminal: bool
+
+    @property
+    def charts(self) -> BlowupAtlas:
+        """The chart atlas of the weight, built on each read: k*n monomials."""
+        return charts(self.weight)
 
 
 def contraction_profile(n: int, r: int, b: int) -> ContractionProfile:
@@ -106,7 +110,6 @@ def contraction_profile(n: int, r: int, b: int) -> ContractionProfile:
         center_codim=weight.k,
         fiber_dim=weight.k - 1,
         discrepancy=disc,
-        charts=charts(weight),
         terminal=True,
     )
 

@@ -36,7 +36,6 @@ __all__ = [
     "colon",
     "saturate",
     "radical",
-    "ideals_equal",
 ]
 
 
@@ -404,9 +403,3 @@ def radical(ideal: MonomialIdeal) -> MonomialIdeal:
     """Radical of a monomial ideal: squarefree supports of the generators."""
     supports = {tuple(1 if e > 0 else 0 for e in g.exponents) for g in ideal.generators}
     return _ideal_from_grlex(ideal.ambient_dim, _grlex_antichain(supports))
-
-
-def ideals_equal(left: MonomialIdeal, right: MonomialIdeal) -> bool:
-    """Equality of ideals in one ring: canonical generators make it ``==``."""
-    _same_dim(left.ambient_dim, right.ambient_dim)
-    return left == right

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import attrgetter
+from typing import Sequence
 
 from .errors import InvalidArgumentError, InvalidWeightError, PolynomialSyntaxError
 from .monomials import Monomial, Polynomial
@@ -32,7 +34,6 @@ __all__ = [
     "parse_weight",
     "format_monomial",
     "format_polynomial",
-    "format_weight",
 ]
 
 _TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<var>x\d+)|(?P<op>[+\-*/^])|(?P<bad>\S)")
@@ -171,17 +172,22 @@ def parse_monomial(text: str, ambient_dim: int) -> Monomial:
     return poly.terms[0][0]
 
 
+def _format_monomials(ms: Sequence[Monomial]) -> list[str]:
+    """format_monomial of each of ms, which share one ambient dimension.
+
+    Works column by column: each variable maps the distinct exponents of
+    its column to factor strings once, and the rows are joined in C.
+    """
+    columns = []
+    for i, column in enumerate(zip(*map(attrgetter("exponents"), ms)), start=1):
+        factors = {e: f"*x{i}^{e}" if e > 1 else f"*x{i}" if e else "" for e in set(column)}
+        columns.append(map(factors.__getitem__, column))
+    return [row[1:] or "1" for row in map("".join, zip(*columns))]
+
+
 def format_monomial(m: Monomial) -> str:
     """Inverse of parse_monomial; the empty exponent vector prints as "1"."""
-    if m.is_one():
-        return "1"
-    parts = []
-    for i, e in enumerate(m.exponents, start=1):
-        if e == 1:
-            parts.append(f"x{i}")
-        elif e > 1:
-            parts.append(f"x{i}^{e}")
-    return "*".join(parts)
+    return _format_monomials((m,))[0]
 
 
 def format_polynomial(f: Polynomial) -> str:
@@ -189,14 +195,15 @@ def format_polynomial(f: Polynomial) -> str:
     if f.is_zero():
         return "0"
     pieces = []
-    for position, (m, c) in enumerate(f.terms):
+    texts = _format_monomials([m for m, _ in f.terms])
+    for position, ((_, c), text) in enumerate(zip(f.terms, texts)):
         magnitude = abs(c)
-        if m.is_one():
+        if text == "1":
             rendered = str(magnitude)
         elif magnitude == 1:
-            rendered = format_monomial(m)
+            rendered = text
         else:
-            rendered = f"{magnitude}*{format_monomial(m)}"
+            rendered = f"{magnitude}*{text}"
         if position == 0:
             pieces.append(f"-{rendered}" if c < 0 else rendered)
         else:
@@ -226,8 +233,3 @@ def parse_weight(text: str, ambient_dim: int) -> Weight:
             f"{len(values)} weight entries exceed the ambient dimension {ambient_dim}"
         )
     return Weight(tuple(values) + (0,) * (ambient_dim - len(values)))
-
-
-def format_weight(w: Weight) -> str:
-    """Positive entries only, comma separated."""
-    return ",".join(str(a) for a in w.nonzero)

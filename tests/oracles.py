@@ -16,7 +16,10 @@ ideal along one variable and compares both pieces with smaller thresholds.
 ``high_length_weights`` sweeps weights for the paper's classification
 instead of building the ``(1, 1, b, ..., b)`` family by hand, and
 ``terminal_lemma`` decides 3-dimensional terminality by the terminal
-lemma instead of the Reid-Tai ages.
+lemma instead of the Reid-Tai ages.  ``brute_format_monomial`` prints one
+monomial factor by factor, ``brute_ill_formed_coordinate`` takes each gcd
+off a coordinate in full, and ``ideals_equal`` and ``format_weight`` are
+the plain forms of ``==`` on ideals and of a weight's text.
 """
 
 from __future__ import annotations
@@ -27,12 +30,13 @@ from fractions import Fraction
 
 from wblowup.charts import (
     ChartDescription,
+    CyclicQuotientType,
     cartier_index,
     charts,
     discrepancy,
     is_terminal_blowup,
 )
-from wblowup.errors import InvalidArgumentError, RadicalNotPrimeError
+from wblowup.errors import DimensionMismatchError, InvalidArgumentError, RadicalNotPrimeError
 from wblowup.monomials import (
     EqualityVerdict,
     Monomial,
@@ -42,7 +46,6 @@ from wblowup.monomials import (
     contains_monomial,
     ideal_power,
     ideal_product,
-    ideals_equal,
     minimalize,
     radical,
     saturate,
@@ -293,3 +296,39 @@ def terminal_lemma(r: int, twists: tuple[int, int, int]) -> bool:
         (x + y) % r == 0 and math.gcd(x, r) == 1 and math.gcd(z, r) == 1
         for x, y, z in itertools.permutations(twists)
     )
+
+
+def ideals_equal(left: MonomialIdeal, right: MonomialIdeal) -> bool:
+    """Equality of ideals in one ring: canonical generators make it ``==``."""
+    if left.ambient_dim != right.ambient_dim:
+        raise DimensionMismatchError(
+            f"ambient dimensions differ: {left.ambient_dim} vs {right.ambient_dim}"
+        )
+    return left == right
+
+
+def format_weight(w: Weight) -> str:
+    """Positive entries only, comma separated."""
+    return ",".join(str(a) for a in w.nonzero)
+
+
+def brute_format_monomial(m: Monomial) -> str:
+    """The printed monomial, one factor per positive exponent; "1" if none."""
+    if m.is_one():
+        return "1"
+    parts = []
+    for i, e in enumerate(m.exponents, start=1):
+        if e == 1:
+            parts.append(f"x{i}")
+        elif e > 1:
+            parts.append(f"x{i}^{e}")
+    return "*".join(parts)
+
+
+def brute_ill_formed_coordinate(q: CyclicQuotientType) -> int | None:
+    """First 1-based coordinate off which the order and the twists share a factor."""
+    r, twists = q.order, q.twists
+    for i in range(len(twists)):
+        if math.gcd(r, *twists[:i], *twists[i + 1 :]) != 1:
+            return i + 1
+    return None

@@ -10,12 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_pushforward_membership, substitute_through_chart, terminal_lemma
+from oracles import (
+    brute_ill_formed_coordinate,
+    brute_pushforward_membership,
+    substitute_through_chart,
+    terminal_lemma,
+)
 from strategies import monomials, polynomials, weights
 from wblowup.charts import (
     BlowupAtlas,
     ChartDescription,
     CyclicQuotientType,
+    _age_sums,
     _chart_quotients,
     _terminal_ages,
     cartier_index,
@@ -41,7 +47,7 @@ def M(*exps: int) -> Monomial:
 
 def well_formed(r: int, twists: tuple[int, ...]) -> bool:
     """Is r prime to the twists off each coordinate?  Stated apart from the library."""
-    return all(math.gcd(r, *twists[:i], *twists[i + 1 :]) == 1 for i in range(len(twists)))
+    return brute_ill_formed_coordinate(CyclicQuotientType(r, twists)) is None
 
 
 class TestCyclicQuotientType:
@@ -152,6 +158,27 @@ class TestReidTai:
                 question(CyclicQuotientType(order, twists))
             assert exc.value.code == "ILL_FORMED_ACTION", question
             assert f"coordinate {coordinate}" in str(exc.value), question
+
+    @given(
+        st.integers(1, 30).flatmap(
+            lambda r: st.tuples(st.just(r), st.lists(st.integers(0, 2 * r), min_size=1, max_size=6))
+        )
+    )
+    @settings(max_examples=400)
+    def test_well_formedness_names_the_first_coordinate_of_the_full_gcds(self, action):
+        # Prefix and suffix gcds must refuse exactly the actions the gcd off
+        # each coordinate refuses, naming the same first coordinate.
+        q = CyclicQuotientType(*action)
+        first = brute_ill_formed_coordinate(q)
+        if first is None:
+            _age_sums(q)
+            return
+        with pytest.raises(IllFormedActionError) as exc:
+            _age_sums(q)
+        assert str(exc.value) == (
+            f"order {q.order} shares a factor with the twists off coordinate x{first}, "
+            f"twists {q.twists}"
+        )
 
     def test_integer_verdict_matches_ages(self):
         for r in range(2, 13):

@@ -9,9 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wblowup
-from wblowup.cli import main
+from wblowup.cli import _render_json, main
 
 
 def run(capsys, *argv: str) -> tuple[int, dict]:
@@ -958,6 +960,42 @@ class TestPinnedDocuments:
         argv, status, plain, document = _PINNED[case]
         assert run_text(capsys, *argv) == (status, plain)
         assert run_text(capsys, *argv, "--json") == (status, json.dumps(document, indent=2) + "\n")
+
+
+# Text draws any character, "\n" and non-ASCII ones included.
+_SCALARS = st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+# Lists of scalars alone take the C encoder's route; mixed lists recurse.
+_DOCUMENTS = st.recursive(
+    _SCALARS | st.lists(_SCALARS, max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestRenderJson:
+    """The --json renderer gives the bytes of ``json.dumps(doc, indent=2)``."""
+
+    @staticmethod
+    def rendered(doc) -> str:
+        chunks: list[str] = []
+        _render_json(doc, "", chunks)
+        return "".join(chunks)
+
+    @given(_DOCUMENTS)
+    @settings(max_examples=300)
+    def test_matches_json_dumps(self, doc):
+        assert self.rendered(doc) == json.dumps(doc, indent=2)
+
+    def test_examples(self):
+        doc = {
+            "k\u00e9y\n": [[], {}, [1, "\u00e9\n"], {"a": [True, None]}, "x"],
+            "scalars": ["snow \u2603", "line\nbreak", 10**20, -3, False, None],
+            "empty": [],
+            "nested": {"": {}},
+        }
+        assert self.rendered(doc) == json.dumps(doc, indent=2)
+        assert self.rendered((1, (2, 3), ())) == json.dumps((1, (2, 3), ()), indent=2)
 
 
 _CI_IDEAL = "x1^6,x2^5,x3^4,x1^2*x4^12,x2*x3*x5^11,x1*x2*x4^3*x5^7"

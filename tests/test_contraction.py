@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,20 @@ class TestContractionProfile:
         assert p.weight == Weight((1, 1, 3, 3))
         assert p.center_codim == 4
         assert p.discrepancy == 7
+
+    def test_long_zero_tail_stays_linear(self):
+        # The atlas of (1, 1, 0, ..., 0) at n = 4000 holds 2n monomials of n
+        # exponents, some 250 MB.  Neither the profile nor its validation
+        # may build it: the profile builds it only when `charts` is read.
+        tracemalloc.start()
+        try:
+            p = contraction_profile(4000, 0, 1)
+            report = validate_profile(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_pass
+        assert peak < 2_000_000
 
     def test_center_must_fit(self):
         with pytest.raises(NoSuchContractionError) as exc:

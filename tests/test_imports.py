@@ -80,6 +80,9 @@ def test_package_namespace():
             assert public not in owner, (public, owner.get(public), name)
             owner[public] = name
             assert getattr(wblowup, public) is getattr(module, public), (name, public)
+    # `ideals_equal` and `format_weight`, plain `==` and a join, live in tests/oracles.py.
+    assert len(owner) == 55
+    assert not {"ideals_equal", "format_weight"} & set(dir(wblowup))
     # The star import of .charts rebinds the submodule's name to the function.
     assert wblowup.charts is sys.modules["wblowup.charts"].charts
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_has_power_in, brute_saturate
+from oracles import brute_has_power_in, brute_saturate, ideals_equal
 from strategies import ideals, monomials, weights
 from wblowup.charts import pushforward_membership
 from wblowup.errors import DimensionMismatchError, InvalidArgumentError, ZeroPolynomialError
@@ -24,7 +24,6 @@ from wblowup.monomials import (
     divides,
     ideal_power,
     ideal_product,
-    ideals_equal,
     minimalize,
     radical,
     saturate,

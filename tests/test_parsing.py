@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_format_monomial, format_weight
 from strategies import polynomials
 from wblowup.errors import InvalidArgumentError, InvalidWeightError, PolynomialSyntaxError
 from wblowup.monomials import Monomial, Polynomial
 from wblowup.parsing import (
+    _format_monomials,
     format_monomial,
     format_polynomial,
-    format_weight,
     parse_monomial,
     parse_polynomial,
     parse_weight,
@@ -145,6 +147,35 @@ class TestFormatting:
     def test_monomial_round_trip(self, exps):
         m = Monomial(exps)
         assert parse_monomial(format_monomial(m), 3) == m
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.lists(st.tuples(*[st.integers(0, 3) | st.integers(0, 10**6)] * n))
+        )
+    )
+    @settings(max_examples=150)
+    def test_bulk_matches_the_factor_loop(self, rows):
+        ms = [Monomial(exps) for exps in rows]
+        assert _format_monomials(ms) == [brute_format_monomial(m) for m in ms]
+
+    def test_bulk_edge_cases(self):
+        assert _format_monomials([]) == []
+        assert _format_monomials([Monomial.one(3)]) == ["1"]
+        assert _format_monomials([M(0, 10**6), Monomial.one(2), M(1, 1)]) == [
+            "x2^1000000",
+            "1",
+            "x1*x2",
+        ]
+
+    def test_bulk_tables_do_not_grow_with_the_exponent(self):
+        ms = [M(10**6, 0), M(0, 10**6)]
+        tracemalloc.start()
+        try:
+            _format_monomials(ms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestParseWeight:
