@@ -18,6 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from wblowup.charts import cartier_index
 from wblowup.contraction import contraction_profile, validate_profile
 
 
@@ -37,7 +38,7 @@ def run(n_max: int, b_max: int) -> None:
                 print(
                     f"{n:>3} {r:>3} {b:>3}  {str(p.tau):>6} {p.center_codim:>5} "
                     f"{p.fiber_dim:>5} {p.discrepancy:>7} "
-                    f"{p.charts.cartier_index:>7}  {str(p.terminal):>8}  {status:>6}"
+                    f"{cartier_index(p.weight):>7}  {str(p.terminal):>8}  {status:>6}"
                 )
 
 

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count, repeat
-from operator import mod
+from operator import index, mod
 from typing import Iterator
 
 from .errors import IllFormedActionError, InvalidArgumentError, ZeroPolynomialError
@@ -54,15 +54,26 @@ class CyclicQuotientType:
 
     Twists are stored reduced mod the order, so two descriptions of the
     same action compare equal.  Order 1 is the trivial (smooth) quotient.
+    The order and the twists must be integers (anything with
+    ``__index__``); floats, fractions and strings are refused rather than
+    rounded.
     """
 
     order: int
     twists: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.order < 1:
-            raise InvalidArgumentError(f"group order must be positive, got {self.order}")
-        reduced = tuple(int(b) % self.order for b in self.twists)
+        try:
+            order = index(self.order)
+            twists = tuple(map(index, self.twists))
+        except TypeError:
+            raise InvalidArgumentError(
+                f"group order and twists must be integers, got {self.order!r} and {self.twists!r}"
+            ) from None
+        if order < 1:
+            raise InvalidArgumentError(f"group order must be positive, got {order}")
+        reduced = tuple(b % order for b in twists)
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "twists", reduced)
         if len(reduced) < 1:
             raise InvalidArgumentError("a quotient needs at least one coordinate")

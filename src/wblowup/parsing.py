@@ -15,6 +15,15 @@ and full cancellation yields the zero polynomial as a value; operations
 that cannot accept it reject it themselves.  Printing inverts the grammar,
 terms ordered by :func:`wblowup.monomials.grlex_key`, so parse(format(f))
 round-trips.
+
+Parsing runs on compiled patterns, not tokens.  A scan for bad characters
+goes first.  Then one term pattern is matched at each term start: a sign,
+the coefficient, the '/' with its denominator, the '*', the factors and a
+dangling '*', each piece carrying its trailing blanks and each optional.
+The match stops where the term stops, and the empty groups say which
+piece is missing, so every error keeps the position of the token the
+grammar expected there.  A factor pattern walks the factors from left to
+right, checking each index and exponent.
 """
 
 from __future__ import annotations
@@ -36,120 +45,15 @@ __all__ = [
     "format_polynomial",
 ]
 
-_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<var>x\d+)|(?P<op>[+\-*/^])|(?P<bad>\S)")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "bad":
-            raise PolynomialSyntaxError(
-                f"unexpected character {match.group()!r}", match.start()
-            )
-        tokens.append((kind, match.group(), match.start()))
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, ambient_dim: int):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.n = ambient_dim
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str) -> None:
-        raise PolynomialSyntaxError(message, self.peek()[2])
-
-    def parse_polynomial(self) -> Polynomial:
-        terms: list[tuple[Monomial, Fraction]] = []
-        sign = 1
-        kind, value, _ = self.peek()
-        if kind == "op" and value in "+-":
-            self.advance()
-            sign = -1 if value == "-" else 1
-        elif kind == "end":
-            self.fail("empty input")
-        while True:
-            mono, coeff = self.parse_term()
-            terms.append((mono, sign * coeff))
-            kind, value, _ = self.peek()
-            if kind == "end":
-                break
-            if kind == "op" and value in "+-":
-                self.advance()
-                sign = -1 if value == "-" else 1
-                continue
-            self.fail(f"expected '+' or '-' between terms, got {value!r}")
-        return Polynomial.from_terms(terms, self.n)
-
-    def parse_term(self) -> tuple[Monomial, Fraction]:
-        kind, value, _ = self.peek()
-        if kind == "num":
-            self.advance()
-            numerator = int(value)
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "/":
-                self.advance()
-                dkind, dvalue, dpos = self.peek()
-                if dkind != "num":
-                    self.fail("expected an integer denominator after '/'")
-                self.advance()
-                if int(dvalue) == 0:
-                    raise PolynomialSyntaxError("zero denominator", dpos)
-                coeff = Fraction(numerator, int(dvalue))
-            else:
-                coeff = Fraction(numerator)
-            kind, value, _ = self.peek()
-            if kind == "var":
-                self.fail("missing '*' between coefficient and variable")
-            if kind == "op" and value == "*":
-                self.advance()
-                return self.parse_factors(), coeff
-            return Monomial.one(self.n), coeff
-        if kind == "var":
-            return self.parse_factors(), Fraction(1)
-        self.fail(f"expected a term, got {value!r}" if value else "expected a term")
-        raise AssertionError("unreachable")
-
-    def parse_factors(self) -> Monomial:
-        exponents = [0] * self.n
-        while True:
-            kind, value, pos = self.peek()
-            if kind != "var":
-                self.fail("expected a variable like x1")
-            self.advance()
-            index = int(value[1:])
-            if not 1 <= index <= self.n:
-                raise PolynomialSyntaxError(
-                    f"variable index {index} out of range 1..{self.n} (indices are 1-based)",
-                    pos,
-                )
-            exponent = 1
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "^":
-                self.advance()
-                ekind, evalue, epos = self.peek()
-                if ekind != "num":
-                    self.fail("expected an integer exponent after '^'")
-                self.advance()
-                exponent = int(evalue)
-                if exponent < 1:
-                    raise PolynomialSyntaxError("exponent must be at least 1", epos)
-            exponents[index - 1] += exponent
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                continue
-            return Monomial(tuple(exponents))
+_BAD_CHARACTER = re.compile(r"[^\s\dx+\-*/^]|x(?!\d)")
+_FACTOR_TEXT = r"x\d+\s*(?:\^\s*(?:\d+\s*)?)?"
+_TERM = re.compile(
+    r"\s*(?P<sign>[+-]?)\s*(?P<body>"
+    r"(?:(?P<num>\d+)\s*(?P<slash>/\s*(?:(?P<den>\d+)\s*)?)?(?P<star>\*\s*)?)?"
+    rf"(?P<factors>{_FACTOR_TEXT}(?:\*\s*{_FACTOR_TEXT})*(?P<dangling>\*\s*)?)?)"
+)
+_FACTOR = re.compile(r"x(\d+)\s*(?:(\^)\s*(\d+)?)?")
+_TOKEN = re.compile(r"x?\d+|\S")
 
 
 def parse_polynomial(text: str, ambient_dim: int) -> Polynomial:
@@ -161,7 +65,59 @@ def parse_polynomial(text: str, ambient_dim: int) -> Polynomial:
     """
     if ambient_dim < 1:
         raise InvalidArgumentError("ambient dimension must be at least 1")
-    return _Parser(text, ambient_dim).parse_polynomial()
+    bad = _BAD_CHARACTER.search(text)
+    if bad:
+        raise PolynomialSyntaxError(f"unexpected character {bad.group()!r}", bad.start())
+    terms: list[tuple[Monomial, int | Fraction]] = []
+    pos = 0
+    while True:
+        term = _TERM.match(text, pos)
+        sign, body, num, slash, den, star, factors, dangling = term.groups()
+        if terms and not sign:
+            got = _TOKEN.match(text, pos).group()
+            raise PolynomialSyntaxError(f"expected '+' or '-' between terms, got {got!r}", pos)
+        pos = term.start("body")
+        if not body:
+            if pos == len(text):
+                raise PolynomialSyntaxError("expected a term" if sign else "empty input", pos)
+            raise PolynomialSyntaxError(f"expected a term, got {text[pos]!r}", pos)
+        coeff: int | Fraction = 1 if num is None else int(num)
+        if slash:
+            if den is None:
+                raise PolynomialSyntaxError(
+                    "expected an integer denominator after '/'", term.end("slash")
+                )
+            if int(den) == 0:
+                raise PolynomialSyntaxError("zero denominator", term.start("den"))
+            coeff = Fraction(coeff, int(den))
+        if num and factors and not star:
+            raise PolynomialSyntaxError(
+                "missing '*' between coefficient and variable", term.start("factors")
+            )
+        exponents = [0] * ambient_dim
+        if factors:
+            for factor in _FACTOR.finditer(text, term.start("factors"), term.end("factors")):
+                index = int(factor[1])
+                if not 1 <= index <= ambient_dim:
+                    raise PolynomialSyntaxError(
+                        f"variable index {index} out of range 1..{ambient_dim} "
+                        "(indices are 1-based)",
+                        factor.start(),
+                    )
+                if factor[2] and factor[3] is None:
+                    raise PolynomialSyntaxError(
+                        "expected an integer exponent after '^'", factor.end()
+                    )
+                exponent = 1 if factor[3] is None else int(factor[3])
+                if exponent < 1:
+                    raise PolynomialSyntaxError("exponent must be at least 1", factor.start(3))
+                exponents[index - 1] += exponent
+        if dangling or (star and not factors):
+            raise PolynomialSyntaxError("expected a variable like x1", term.end())
+        terms.append((Monomial(tuple(exponents)), -coeff if sign == "-" else coeff))
+        pos = term.end()
+        if pos == len(text):
+            return Polynomial.from_terms(terms, ambient_dim)
 
 
 def parse_monomial(text: str, ambient_dim: int) -> Monomial:

@@ -16,16 +16,20 @@ ideal along one variable and compares both pieces with smaller thresholds.
 ``high_length_weights`` sweeps weights for the paper's classification
 instead of building the ``(1, 1, b, ..., b)`` family by hand, and
 ``terminal_lemma`` decides 3-dimensional terminality by the terminal
-lemma instead of the Reid-Tai ages.  ``brute_format_monomial`` prints one
-monomial factor by factor, ``brute_ill_formed_coordinate`` takes each gcd
-off a coordinate in full, and ``ideals_equal`` and ``format_weight`` are
-the plain forms of ``==`` on ideals and of a weight's text.
+lemma instead of the Reid-Tai ages.  ``brute_parse_polynomial`` parses
+polynomial text by a token list and recursive descent instead of the
+compiled term pattern, with the same errors at the same positions.
+``brute_format_monomial`` prints one monomial factor by factor,
+``brute_ill_formed_coordinate`` takes each gcd off a coordinate in full,
+and ``ideals_equal`` and ``format_weight`` are the plain forms of ``==``
+on ideals and of a weight's text.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 from wblowup.charts import (
@@ -36,7 +40,12 @@ from wblowup.charts import (
     discrepancy,
     is_terminal_blowup,
 )
-from wblowup.errors import DimensionMismatchError, InvalidArgumentError, RadicalNotPrimeError
+from wblowup.errors import (
+    DimensionMismatchError,
+    InvalidArgumentError,
+    PolynomialSyntaxError,
+    RadicalNotPrimeError,
+)
 from wblowup.monomials import (
     EqualityVerdict,
     Monomial,
@@ -175,7 +184,8 @@ def brute_compare_symbolic_power(
     n = primary.ideal.ambient_dim
     outside = tuple(0 if i in primary.radical_vars else 1 for i in range(1, n + 1))
     sym = saturate(ordinary, Monomial(outside))
-    assert all(contains_monomial(sym, g) for g in ordinary.generators)
+    if not all(contains_monomial(sym, g) for g in ordinary.generators):
+        raise AssertionError("the saturation of I^t must contain I^t")
     for g in sym.generators:
         if not contains_monomial(ordinary, g):
             return sym, EqualityVerdict(False, g)
@@ -296,6 +306,134 @@ def terminal_lemma(r: int, twists: tuple[int, int, int]) -> bool:
         (x + y) % r == 0 and math.gcd(x, r) == 1 and math.gcd(z, r) == 1
         for x, y, z in itertools.permutations(twists)
     )
+
+
+_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<var>x\d+)|(?P<op>[+\-*/^])|(?P<bad>\S)")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise PolynomialSyntaxError(
+                f"unexpected character {match.group()!r}", match.start()
+            )
+        tokens.append((kind, match.group(), match.start()))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str, ambient_dim: int):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.n = ambient_dim
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, message: str) -> None:
+        raise PolynomialSyntaxError(message, self.peek()[2])
+
+    def parse_polynomial(self) -> Polynomial:
+        terms: list[tuple[Monomial, Fraction]] = []
+        sign = 1
+        kind, value, _ = self.peek()
+        if kind == "op" and value in "+-":
+            self.advance()
+            sign = -1 if value == "-" else 1
+        elif kind == "end":
+            self.fail("empty input")
+        while True:
+            mono, coeff = self.parse_term()
+            terms.append((mono, sign * coeff))
+            kind, value, _ = self.peek()
+            if kind == "end":
+                break
+            if kind == "op" and value in "+-":
+                self.advance()
+                sign = -1 if value == "-" else 1
+                continue
+            self.fail(f"expected '+' or '-' between terms, got {value!r}")
+        return Polynomial.from_terms(terms, self.n)
+
+    def parse_term(self) -> tuple[Monomial, Fraction]:
+        kind, value, _ = self.peek()
+        if kind == "num":
+            self.advance()
+            numerator = int(value)
+            kind, value, _ = self.peek()
+            if kind == "op" and value == "/":
+                self.advance()
+                dkind, dvalue, dpos = self.peek()
+                if dkind != "num":
+                    self.fail("expected an integer denominator after '/'")
+                self.advance()
+                if int(dvalue) == 0:
+                    raise PolynomialSyntaxError("zero denominator", dpos)
+                coeff = Fraction(numerator, int(dvalue))
+            else:
+                coeff = Fraction(numerator)
+            kind, value, _ = self.peek()
+            if kind == "var":
+                self.fail("missing '*' between coefficient and variable")
+            if kind == "op" and value == "*":
+                self.advance()
+                return self.parse_factors(), coeff
+            return Monomial.one(self.n), coeff
+        if kind == "var":
+            return self.parse_factors(), Fraction(1)
+        self.fail(f"expected a term, got {value!r}" if value else "expected a term")
+        raise AssertionError("unreachable")
+
+    def parse_factors(self) -> Monomial:
+        exponents = [0] * self.n
+        while True:
+            kind, value, pos = self.peek()
+            if kind != "var":
+                self.fail("expected a variable like x1")
+            self.advance()
+            index = int(value[1:])
+            if not 1 <= index <= self.n:
+                raise PolynomialSyntaxError(
+                    f"variable index {index} out of range 1..{self.n} (indices are 1-based)",
+                    pos,
+                )
+            exponent = 1
+            kind, value, _ = self.peek()
+            if kind == "op" and value == "^":
+                self.advance()
+                ekind, evalue, epos = self.peek()
+                if ekind != "num":
+                    self.fail("expected an integer exponent after '^'")
+                self.advance()
+                exponent = int(evalue)
+                if exponent < 1:
+                    raise PolynomialSyntaxError("exponent must be at least 1", epos)
+            exponents[index - 1] += exponent
+            kind, value, _ = self.peek()
+            if kind == "op" and value == "*":
+                self.advance()
+                continue
+            return Monomial(tuple(exponents))
+
+
+def brute_parse_polynomial(text: str, ambient_dim: int) -> Polynomial:
+    """parse_polynomial by a token list and recursive descent.
+
+    The same grammar, errors and positions as the library, reached along a
+    different route: the text is first cut into ``(kind, value, position)``
+    tokens, and a parser with one method per grammar rule walks them.
+    """
+    if ambient_dim < 1:
+        raise InvalidArgumentError("ambient dimension must be at least 1")
+    return _Parser(text, ambient_dim).parse_polynomial()
 
 
 def ideals_equal(left: MonomialIdeal, right: MonomialIdeal) -> bool:

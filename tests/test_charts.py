@@ -61,6 +61,27 @@ class TestCyclicQuotientType:
         with pytest.raises(InvalidArgumentError):
             CyclicQuotientType(3, ())
 
+    @pytest.mark.parametrize(
+        "order, twists",
+        [
+            (5, (2.5, Fraction(7, 2), 1)),
+            (5, ("2", "3", "1")),
+            (5.0, (2, 3, 1)),
+            (Fraction(5), (2, 3, 1)),
+            ("5", (2, 3, 1)),
+            (5, "231"),
+        ],
+    )
+    def test_non_integers_are_refused_not_rounded(self, order, twists):
+        with pytest.raises(InvalidArgumentError, match="must be integers") as exc:
+            CyclicQuotientType(order, twists)
+        assert exc.value.code == "INVALID_ARGUMENT"
+
+    def test_integer_likes_are_stored_as_ints(self):
+        q = CyclicQuotientType(True, [False, 3])
+        assert (q.order, q.twists) == (1, (0, 0))
+        assert type(q.order) is int and all(type(b) is int for b in q.twists)
+
 
 class TestCharts:
     def test_atlas_of_three_coprime_entries(self):

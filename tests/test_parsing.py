@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_format_monomial, format_weight
+from oracles import brute_format_monomial, brute_parse_polynomial, format_weight
 from strategies import polynomials
 from wblowup.errors import InvalidArgumentError, InvalidWeightError, PolynomialSyntaxError
 from wblowup.monomials import Monomial, Polynomial
@@ -109,6 +110,73 @@ class TestParseErrors:
     def test_trailing_garbage(self):
         with pytest.raises(PolynomialSyntaxError):
             parse_polynomial("x1 x2", 2)
+
+
+# Every parse error in full: the text, the ambient dimension, str(exc)
+# and the position.
+PARSE_ERRORS = [
+    ("", 2, "empty input (at position 0)", 0),
+    ("   ", 2, "empty input (at position 3)", 3),
+    ("2/*x1", 2, "expected an integer denominator after '/' (at position 2)", 2),
+    ("1/0", 1, "zero denominator (at position 2)", 2),
+    ("2/0*x9", 2, "zero denominator (at position 2)", 2),
+    ("2x1", 2, "missing '*' between coefficient and variable (at position 1)", 1),
+    ("2/3x1", 2, "missing '*' between coefficient and variable (at position 3)", 3),
+    ("x1*", 2, "expected a variable like x1 (at position 3)", 3),
+    ("2**x1", 2, "expected a variable like x1 (at position 2)", 2),
+    ("x1^*x2", 2, "expected an integer exponent after '^' (at position 3)", 3),
+    ("x1^ ", 2, "expected an integer exponent after '^' (at position 4)", 4),
+    ("x1^0", 2, "exponent must be at least 1 (at position 3)", 3),
+    ("x\u0661^\u0660", 2, "exponent must be at least 1 (at position 3)", 3),
+    ("x1^2^3", 2, "expected '+' or '-' between terms, got '^' (at position 4)", 4),
+    ("2/3/4", 2, "expected '+' or '-' between terms, got '/' (at position 3)", 3),
+    ("x1 x23", 2, "expected '+' or '-' between terms, got 'x23' (at position 3)", 3),
+    ("x1 23", 2, "expected '+' or '-' between terms, got '23' (at position 3)", 3),
+    ("+", 2, "expected a term (at position 1)", 1),
+    ("x1 +", 2, "expected a term (at position 4)", 4),
+    ("*x1", 2, "expected a term, got '*' (at position 0)", 0),
+    ("+-x1", 2, "expected a term, got '-' (at position 1)", 1),
+    ("x1 + y2", 2, "unexpected character 'y' (at position 5)", 5),
+    ("x 1", 2, "unexpected character 'x' (at position 0)", 0),
+    ("x3", 2, "variable index 3 out of range 1..2 (indices are 1-based) (at position 0)", 0),
+    ("x0", 2, "variable index 0 out of range 1..2 (indices are 1-based) (at position 0)", 0),
+    ("x9^0", 2, "variable index 9 out of range 1..2 (indices are 1-based) (at position 0)", 0),
+]
+
+
+@pytest.mark.parametrize("text, n, message, position", PARSE_ERRORS)
+def test_parse_error_in_full(text, n, message, position):
+    with pytest.raises(PolynomialSyntaxError) as exc:
+        parse_polynomial(text, n)
+    assert (str(exc.value), exc.value.position) == (message, position)
+
+
+def _outcome(parse, text: str, n: int):
+    """The value parsed, or the class, message and position of the parse error."""
+    try:
+        return parse(text, n)
+    except PolynomialSyntaxError as exc:
+        return type(exc), str(exc), exc.position
+
+
+# Token-level pieces, Unicode digits and blanks and bad characters included.
+_PIECES = ["x0", "x1", "x2", "x3", "x10", "0", "1", "12", "/", "*", "^", "+", "-",
+           " ", "\t", "\u00a0", "\u0663", "y", "x"]
+
+
+class TestAgainstTheTokenParser:
+    @given(st.lists(st.sampled_from(_PIECES), max_size=12).map("".join), st.integers(1, 3))
+    @settings(max_examples=400)
+    def test_drawn_texts(self, text, n):
+        assert _outcome(parse_polynomial, text, n) == _outcome(brute_parse_polynomial, text, n)
+
+    def test_every_short_text(self):
+        for length in range(5):
+            for chars in itertools.product(" x12+-*/^0", repeat=length):
+                text = "".join(chars)
+                assert _outcome(parse_polynomial, text, 2) == _outcome(
+                    brute_parse_polynomial, text, 2
+                ), text
 
 
 class TestParseMonomial:
