@@ -109,11 +109,6 @@ class BlowupAtlas:
             if chart.quotient.order != self.weight.entries[pos - 1]:
                 raise InvalidArgumentError("chart quotient order must match its weight entry")
 
-    @property
-    def cartier_index(self) -> int:
-        """Smallest multiple of the exceptional divisor Cartier on every chart."""
-        return cartier_index(self.weight)
-
 
 def _chart_quotients(w: Weight) -> Iterator[CyclicQuotientType]:
     """Chart i's quotient 1/a_i(-a_1, ..., 1, ..., -a_n), in chart order."""
@@ -138,7 +133,7 @@ def charts(w: Weight) -> BlowupAtlas:
 
 
 def cartier_index(w: Weight) -> int:
-    """lcm of the positive weight entries."""
+    """lcm of the positive weight entries: the least multiple of E Cartier on every chart."""
     return math.lcm(*w.nonzero)
 
 

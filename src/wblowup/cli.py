@@ -163,7 +163,7 @@ def _cmd_charts(args: argparse.Namespace) -> tuple[dict, bool]:
         }
         for c in atlas.charts
     ]
-    result = {"cartier_index": atlas.cartier_index, "charts": chart_docs}
+    result = {"cartier_index": cartier_index(w), "charts": chart_docs}
     return {"inputs": inputs, "result": result}, False
 
 

@@ -6,8 +6,8 @@ carrying r copies of b.  The profile reads its numbers off that weight w.
 With K_X = f^*K_Y + discrepancy(w) E and the polarization L = f^*A - bE,
 a curve C in a fiber has nef value tau = -K.C / L.C = discrepancy(w) / b.
 The center codimension is the number k of positive entries and the fibers
-P(w) have dimension k - 1.  The terminality verdict is recorded as well,
-and the chart atlas is built from the weight when it is read.
+P(w) have dimension k - 1.  The terminality verdict is recorded as well;
+a profile's chart atlas is ``charts(profile.weight)``.
 ``validate_profile`` checks each number against its closed form in
 (n, r, b) (tau = r + 1/b, fiber dimension r + 1, discrepancy r*b + 1) and
 reports per-check results, so a hand-edited profile pinpoints exactly
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charts import BlowupAtlas, charts, discrepancy, is_terminal_blowup
+from .charts import discrepancy, is_terminal_blowup
 from .errors import InvalidArgumentError, InvariantViolationError, NoSuchContractionError
 from .weights import Weight
 
@@ -69,11 +69,6 @@ class ContractionProfile:
     fiber_dim: int
     discrepancy: int
     terminal: bool
-
-    @property
-    def charts(self) -> BlowupAtlas:
-        """The chart atlas of the weight, built on each read: k*n monomials."""
-        return charts(self.weight)
 
 
 def contraction_profile(n: int, r: int, b: int) -> ContractionProfile:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import le, mul, sub
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatchError, InvalidArgumentError
 
@@ -26,7 +26,6 @@ __all__ = [
     "Polynomial",
     "MonomialIdeal",
     "EqualityVerdict",
-    "grlex_key",
     "divides",
     "minimalize",
     "ideal_product",
@@ -92,15 +91,6 @@ class Monomial:
         return Monomial(tuple(s * e for s in self.exponents))
 
 
-def grlex_key(m: Monomial) -> tuple:
-    """Canonical sort key: total degree ascending, then x1-heavy monomials first.
-
-    Within one degree x1^d precedes x1^(d-1)*x2 precedes ... precedes xn^d.
-    All printed output and stored generator tuples follow this order.
-    """
-    return (m.degree, tuple(-e for e in m.exponents))
-
-
 Coefficient = Union[int, Fraction]
 
 
@@ -108,10 +98,11 @@ Coefficient = Union[int, Fraction]
 class Polynomial:
     """Finite sum of monomials with nonzero exact rational coefficients.
 
-    The constructor combines like terms, drops those that cancel and sorts
-    the rest by :func:`grlex_key`, so equal polynomials compare equal.  The
-    zero polynomial is the empty term tuple.  A term given with coefficient
-    0 is refused; :meth:`from_terms` skips such terms instead.
+    The constructor combines like terms, drops those that cancel and puts
+    the rest in grlex order through the helper that orders ideal generators,
+    so equal polynomials compare equal.  The zero polynomial is the empty
+    term tuple.  A term given with coefficient 0 is refused;
+    :meth:`from_terms` skips such terms instead.
     """
 
     ambient_dim: int
@@ -120,23 +111,23 @@ class Polynomial:
     def __post_init__(self) -> None:
         if self.ambient_dim < 1:
             raise InvalidArgumentError("ambient dimension must be at least 1")
-        acc: dict[Monomial, Fraction] = {}
+        by_exps: dict[tuple[int, ...], Monomial] = {}
+        sums: dict[tuple[int, ...], Fraction] = {}
         for m, c in self.terms:
             _same_dim(m.ambient_dim, self.ambient_dim)
             if c == 0:
                 raise InvalidArgumentError("zero coefficient stored in a polynomial term")
-            acc[m] = acc.get(m, 0) + Fraction(c)
-        terms = sorted(((m, c) for m, c in acc.items() if c), key=lambda t: grlex_key(t[0]))
-        object.__setattr__(self, "terms", tuple(terms))
+            e = m.exponents
+            by_exps.setdefault(e, m)
+            sums[e] = sums.get(e, 0) + Fraction(c)
+        kept = _grlex(e for e, c in sums.items() if c)
+        object.__setattr__(self, "terms", tuple((by_exps[e], sums[e]) for e in kept))
 
     @classmethod
     def from_terms(
-        cls,
-        terms: Union[Mapping[Monomial, Coefficient], Iterable[tuple[Monomial, Coefficient]]],
-        ambient_dim: int,
+        cls, terms: Iterable[tuple[Monomial, Coefficient]], ambient_dim: int
     ) -> "Polynomial":
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        return cls(ambient_dim, tuple((m, c) for m, c in items if c != 0))
+        return cls(ambient_dim, tuple((m, c) for m, c in terms if c != 0))
 
     @classmethod
     def from_monomial(cls, m: Monomial, coefficient: Coefficient = 1) -> "Polynomial":
@@ -234,14 +225,24 @@ def minimalize(gens: Iterable[Monomial], ambient_dim: Optional[int] = None) -> M
     return MonomialIdeal(ambient_dim, pool)
 
 
-def _grlex_antichain(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The divisibility-minimal tuples among the distinct ``exps``, in grlex order."""
-    # Grlex order: lex descending, then a stable sort by degree.  Any divisor
-    # of e is ranked before e, so one pass works.
+def _grlex(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The distinct exponent tuples ``exps`` in grlex order.
+
+    Total degree ascending, then x1-heavy monomials first: within one degree
+    x1^d precedes x1^(d-1)*x2 precedes ... precedes xn^d.  That is lex
+    descending, then a stable sort by degree.  All printed output, stored
+    polynomial terms and stored generator tuples follow this order.
+    """
     ordered = sorted(exps, reverse=True)
     ordered.sort(key=sum)
+    return ordered
+
+
+def _grlex_antichain(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The divisibility-minimal tuples among the distinct ``exps``, in grlex order."""
+    # Any divisor of e is ranked before e in grlex order, so one pass works.
     kept: list[tuple[int, ...]] = []
-    for e in ordered:
+    for e in _grlex(exps):
         if not any(all(map(le, f, e)) for f in kept):
             kept.append(e)
     return kept

@@ -13,8 +13,8 @@ Variable indices are 1-based and must stay within the ambient dimension;
 exponents must be at least 1 (omitted means 1).  Like terms are combined,
 and full cancellation yields the zero polynomial as a value; operations
 that cannot accept it reject it themselves.  Printing inverts the grammar,
-terms ordered by :func:`wblowup.monomials.grlex_key`, so parse(format(f))
-round-trips.
+terms in the grlex order the ``Polynomial`` constructor stores them in, so
+parse(format(f)) round-trips.
 
 Parsing runs on compiled patterns, not tokens.  A scan for bad characters
 goes first.  Then one term pattern is matched at each term start: a sign,

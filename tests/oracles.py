@@ -21,8 +21,9 @@ polynomial text by a token list and recursive descent instead of the
 compiled term pattern, with the same errors at the same positions.
 ``brute_format_monomial`` prints one monomial factor by factor,
 ``brute_ill_formed_coordinate`` takes each gcd off a coordinate in full,
-and ``ideals_equal`` and ``format_weight`` are the plain forms of ``==``
-on ideals and of a weight's text.
+``grlex_key`` is a per-monomial sort key for the grlex order the library
+stores terms and generators in, and ``ideals_equal`` and ``format_weight``
+are the plain forms of ``==`` on ideals and of a weight's text.
 """
 
 from __future__ import annotations
@@ -434,6 +435,15 @@ def brute_parse_polynomial(text: str, ambient_dim: int) -> Polynomial:
     if ambient_dim < 1:
         raise InvalidArgumentError("ambient dimension must be at least 1")
     return _Parser(text, ambient_dim).parse_polynomial()
+
+
+def grlex_key(m: Monomial) -> tuple:
+    """Canonical sort key: total degree ascending, then x1-heavy monomials first.
+
+    Within one degree x1^d precedes x1^(d-1)*x2 precedes ... precedes xn^d.
+    All printed output and stored generator tuples follow this order.
+    """
+    return (m.degree, tuple(-e for e in m.exponents))
 
 
 def ideals_equal(left: MonomialIdeal, right: MonomialIdeal) -> bool:

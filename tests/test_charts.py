@@ -86,7 +86,7 @@ class TestCyclicQuotientType:
 class TestCharts:
     def test_atlas_of_three_coprime_entries(self):
         atlas = charts(Weight((10, 14, 35)))
-        assert atlas.cartier_index == 70
+        assert cartier_index(atlas.weight) == 70
         q1, q2, q3 = (c.quotient for c in atlas.charts)
         assert (q1.order, q1.twists) == (10, (1, 6, 5))
         assert (q2.order, q2.twists) == (14, (4, 1, 7))
@@ -111,7 +111,7 @@ class TestCharts:
     def test_smooth_blowup_charts_are_trivial_quotients(self):
         atlas = charts(Weight((1, 1)))
         assert all(c.quotient.order == 1 for c in atlas.charts)
-        assert atlas.cartier_index == 1
+        assert cartier_index(atlas.weight) == 1
 
     def test_atlas_invariants_enforced(self):
         atlas = charts(Weight((2, 3)))

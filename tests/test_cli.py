@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wblowup
+from oracles import brute_box_gens, brute_parse_polynomial, brute_pushforward_membership, grlex_key
 from wblowup.cli import _render_json, main
+from wblowup.monomials import Monomial
+from wblowup.weights import Weight, monomial_weight
 
 
 def run(capsys, *argv: str) -> tuple[int, dict]:
@@ -960,6 +967,109 @@ class TestPinnedDocuments:
         argv, status, plain, document = _PINNED[case]
         assert run_text(capsys, *argv) == (status, plain)
         assert run_text(capsys, *argv, "--json") == (status, json.dumps(document, indent=2) + "\n")
+
+
+def run_json(command: str, *argv: str) -> tuple[int, dict]:
+    """`main([command, "--json", *argv])` in-process; capsys cannot serve a hypothesis test."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([command, "--json", *argv])
+    return code, json.loads(out.getvalue())
+
+
+@st.composite
+def small_weights(draw) -> Weight:
+    """Weights with at most three positive entries, each at most 6, and up to two zeros."""
+    entries = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    if math.gcd(*entries) != 1:
+        entries[0] = 1
+    return Weight(tuple(entries) + (0,) * draw(st.integers(0, 2)))
+
+
+def weight_args(w: Weight) -> list[str]:
+    return ["--weight", ",".join(map(str, w.nonzero)), "--n", str(w.n)]
+
+
+def term_text(exps: tuple[int, ...], c: Fraction) -> str:
+    """One term of the grammar, without its sign: "3/2*x1^2*x3", "x2^1" or "5"."""
+    factors = "*".join(f"x{i}^{s}" for i, s in enumerate(exps, 1) if s)
+    if not factors:
+        return str(abs(c))
+    return factors if abs(c) == 1 else f"{abs(c)}*{factors}"
+
+
+class TestDocumentsAgainstOracles:
+    """Random documents, each answer checked along the route tests/oracles.py takes."""
+
+    @given(small_weights(), st.integers(0, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_ideal(self, w, d):
+        code, doc = run_json("ideal", *weight_args(w), "--d", str(d))
+        assert code == 0
+        gens = []
+        for text in doc["result"]["generators"]:
+            ((g, c),) = brute_parse_polynomial(text, w.n).terms
+            assert c == 1
+            gens.append(g)
+        assert {g.exponents for g in gens} == brute_box_gens(w.entries, d)
+        keys = [grlex_key(g) for g in gens]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert doc["result"]["count"] == len(gens)
+
+    @given(st.data(), small_weights())
+    @settings(max_examples=40, deadline=None)
+    def test_charts(self, data, w):
+        code, doc = run_json("charts", *weight_args(w))
+        assert code == 0
+        assert doc["result"]["cartier_index"] == math.lcm(*w.nonzero)
+        chart_docs = doc["result"]["charts"]
+        assert [c["index"] for c in chart_docs] == list(range(1, w.k + 1))
+        s = data.draw(st.tuples(*[st.integers(0, 4)] * w.n))
+        for chart in chart_docs:
+            i, ai = chart["index"], w.entries[chart["index"] - 1]
+            twists = [(1 if j == i else -a) % ai for j, a in enumerate(w.entries, 1)]
+            assert chart["quotient"] == {"order": ai, "twists": twists}
+            assert chart["exceptional_coordinate"] == f"x{i}"
+            u_i = 0
+            for sj, text in zip(s, chart["map"]):
+                ((image, c),) = brute_parse_polynomial(text, w.n).terms
+                assert c == 1
+                u_i += sj * image.exponents[i - 1]
+            assert u_i == monomial_weight(w, Monomial(s))
+
+    @given(st.data(), small_weights())
+    @settings(max_examples=40, deadline=None)
+    def test_push(self, data, w):
+        # Few monomials and repeated draws give like terms; the negated copies
+        # of a drawn prefix cancel some terms, or all of them.
+        pool = data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * w.n), min_size=1, max_size=3))
+        coefficients = st.fractions(-3, 3, max_denominator=3).filter(bool)
+        terms = data.draw(
+            st.lists(st.tuples(st.sampled_from(pool), coefficients), min_size=1, max_size=5)
+        )
+        cancelled = data.draw(st.integers(0, len(terms)))
+        terms = data.draw(st.permutations(terms + [(e, -c) for e, c in terms[:cancelled]]))
+        d = data.draw(st.integers(0, 2 * max(w.entries) + 2))
+        text = "".join(
+            ("-" if c < 0 else "+" if pos else "") + term_text(e, c)
+            for pos, (e, c) in enumerate(terms)
+        )
+        sums: dict[tuple[int, ...], Fraction] = {}
+        for e, c in terms:
+            sums[e] = sums.get(e, Fraction(0)) + c
+        expected = sorted(
+            ((Monomial(e), c) for e, c in sums.items() if c), key=lambda t: grlex_key(t[0])
+        )
+        code, doc = run_json("push", *weight_args(w), "--d", str(d), "--", text)
+        if not expected:
+            assert code == 2
+            assert doc["error"]["code"] == "ZERO_POLYNOMIAL"
+            return
+        assert code == 0
+        echoed = brute_parse_polynomial(doc["inputs"]["polynomial"], w.n)
+        assert echoed.terms == tuple(expected)
+        assert echoed == brute_parse_polynomial(text, w.n)
+        assert doc["result"] == {"member": brute_pushforward_membership(w, d, echoed)}
 
 
 # Text draws any character, "\n" and non-ASCII ones included.

@@ -11,7 +11,7 @@ import pytest
 
 from oracles import high_length_weights
 from wblowup import contraction
-from wblowup.charts import cartier_index, discrepancy, is_terminal_blowup
+from wblowup.charts import cartier_index, charts, discrepancy, is_terminal_blowup
 from wblowup.contraction import (
     contraction_profile,
     validate_profile,
@@ -33,7 +33,7 @@ class TestContractionProfile:
         assert p.fiber_dim == 2
         assert p.discrepancy == 3
         assert p.terminal
-        assert p.charts.cartier_index == 2
+        assert cartier_index(p.weight) == 2
 
     def test_ordinary_blowup_degeneration(self):
         p = contraction_profile(5, 0, 1)
@@ -165,8 +165,7 @@ class TestFamilySweep:
             p = contraction_profile(n, r, b)
             assert p.discrepancy == discrepancy(p.weight)
             assert p.terminal == is_terminal_blowup(p.weight)
-            assert p.charts.weight == p.weight
-            assert len(p.charts.charts) == p.weight.k
+            assert len(charts(p.weight).charts) == p.weight.k
 
 
 class TestClassification:
@@ -184,5 +183,5 @@ class TestClassification:
                 assert p.weight == tailed
                 assert p.tau == Fraction(discrepancy(tailed), cartier_index(tailed))
                 assert p.discrepancy == discrepancy(tailed)
-                assert p.charts.cartier_index == cartier_index(tailed)
+                assert cartier_index(p.weight) == cartier_index(tailed)
                 assert p.terminal == is_terminal_blowup(tailed)

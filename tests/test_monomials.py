@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_has_power_in, brute_saturate, ideals_equal
+from oracles import brute_has_power_in, brute_saturate, grlex_key, ideals_equal
 from strategies import ideals, monomials, weights
 from wblowup.charts import pushforward_membership
 from wblowup.errors import DimensionMismatchError, InvalidArgumentError, ZeroPolynomialError
@@ -52,6 +52,10 @@ class TestMonomial:
         assert M(1, 2) ** 0 == M(0, 0)
         with pytest.raises(DimensionMismatchError):
             M(1) * M(1, 2)
+        with pytest.raises(InvalidArgumentError, match="monomial powers must be non-negative"):
+            M(1, 2) ** -1
+        with pytest.raises(TypeError):
+            M(1) * 3
 
     def test_variable_and_one(self):
         assert Monomial.variable(2, 3) == M(0, 1, 0)
@@ -83,6 +87,9 @@ class TestPolynomial:
     def test_like_terms_combine(self):
         f = Polynomial.from_terms([(M(1, 0), 1), (M(1, 0), Fraction(1, 2))], 2)
         assert f.terms == ((M(1, 0), Fraction(3, 2)),)
+        g = Polynomial(2, ((M(0, 2), 1), (M(1, 0), 3), (M(2, 0), -1), (M(1, 0), 1)))
+        assert g.monomials() == (M(1, 0), M(2, 0), M(0, 2))
+        assert Polynomial.zero(2).monomials() == ()
 
     def test_cancellation_gives_zero(self):
         f = Polynomial.from_terms([(M(1, 0), 1), (M(1, 0), -1)], 2)
@@ -93,10 +100,15 @@ class TestPolynomial:
         f = Polynomial.from_terms([(M(1, 0), 1), (M(0, 1), -1)], 2)
         g = Polynomial.from_terms([(M(1, 0), 1), (M(0, 1), 1)], 2)
         assert f * g == Polynomial.from_terms([(M(2, 0), 1), (M(0, 2), -1)], 2)
+        with pytest.raises(TypeError):
+            Polynomial(1) * 3
 
     def test_zero_coefficient_rejected(self):
         with pytest.raises(ValueError):
             Polynomial(2, ((M(1, 0), Fraction(0)),))
+        with pytest.raises(InvalidArgumentError, match="ambient dimension must be at least 1") as e:
+            Polynomial(0)
+        assert e.value.code == "INVALID_ARGUMENT"
 
     def test_cancelling_terms_give_zero(self):
         f = Polynomial(1, ((M(1), 1), (M(1), -1)))
@@ -115,7 +127,15 @@ class TestPolynomial:
             st.lists(st.tuples(monomials(n=n, max_exp=2), coefficients.filter(bool)), max_size=8)
         )
         terms = data.draw(st.permutations(terms + terms[: len(terms) // 2]))
-        assert Polynomial(n, tuple(terms)) == Polynomial.from_terms(terms, n)
+        f = Polynomial(n, tuple(terms))
+        assert f == Polynomial.from_terms(terms, n)
+        sums: dict[Monomial, Fraction] = {}
+        for m, c in terms:
+            sums[m] = sums.get(m, Fraction(0)) + c
+        expected = sorted(((m, c) for m, c in sums.items() if c), key=lambda t: grlex_key(t[0]))
+        assert f.terms == tuple(expected)
+        assert all(type(c) is Fraction for _, c in f.terms)
+        assert f.monomials() == tuple(m for m, _ in expected)
 
 
 class TestDivides:
@@ -138,6 +158,9 @@ class TestMinimalize:
         assert minimalize([], 3) == MonomialIdeal.zero(3)
         with pytest.raises(ValueError):
             minimalize([])
+        with pytest.raises(InvalidArgumentError, match="ambient dimension must be at least 1") as e:
+            MonomialIdeal(0, ())
+        assert e.value.code == "INVALID_ARGUMENT"
 
     def test_unit_absorbs(self):
         assert minimalize([M(0, 0), M(2, 1)]) == MonomialIdeal.unit(2)

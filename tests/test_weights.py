@@ -9,7 +9,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_box_gens, brute_power_equality, slicing_decomposition_check
+from oracles import (
+    brute_box_gens,
+    brute_power_equality,
+    grlex_key,
+    slicing_decomposition_check,
+)
 from strategies import monomials, polynomials, weights
 from wblowup.errors import (
     InvalidArgumentError,
@@ -21,7 +26,6 @@ from wblowup.monomials import (
     Polynomial,
     contains,
     contains_monomial,
-    grlex_key,
     ideal_power,
 )
 from wblowup.weights import (
