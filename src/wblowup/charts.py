@@ -1,9 +1,11 @@
-"""Chart atlases of weighted blow-ups and cyclic quotient terminality.
+"""Charts of weighted blow-ups and cyclic quotient terminality.
 
 Blowing up the origin-centered coordinate subspace with a weight
 (a1, ..., ak, 0, ..., 0) covers the result with one chart per positive
-entry.  Chart i is the quotient of affine n-space by a cyclic group of
-order a_i acting diagonally with twists (-a1, ..., 1, ..., -ak, 0, ..., 0)
+entry, and ``charts(w)`` lists them in that order; each chart is a value
+of its own, whose index names its exceptional coordinate.  Chart i is the
+quotient of affine n-space by a cyclic group of order a_i acting
+diagonally with twists (-a1, ..., 1, ..., -ak, 0, ..., 0)
 (the 1 sits in slot i, everything reduced mod a_i).  Its blow-down map,
 recorded in ``chart_map``, follows one rule: x_i -> u_i^(a_i), and
 x_j -> u_j * u_i^(a_j) for j != i.  The terminality verdicts read only the
@@ -31,13 +33,12 @@ from operator import index, mod
 from typing import Iterator
 
 from .errors import IllFormedActionError, InvalidArgumentError, ZeroPolynomialError
-from .monomials import Monomial, Polynomial
-from .weights import Weight, _check_dim, sigma_wt
+from .monomials import Monomial, Polynomial, _same_dim
+from .weights import Weight, sigma_wt
 
 __all__ = [
     "CyclicQuotientType",
     "ChartDescription",
-    "BlowupAtlas",
     "charts",
     "cartier_index",
     "reid_tai_ages",
@@ -93,23 +94,6 @@ class ChartDescription:
     chart_map: tuple[Monomial, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class BlowupAtlas:
-    """All charts of one weighted blow-up, one per positive weight entry."""
-
-    weight: Weight
-    charts: tuple[ChartDescription, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.charts) != self.weight.k:
-            raise InvalidArgumentError("expected exactly one chart per positive weight entry")
-        for pos, chart in enumerate(self.charts, start=1):
-            if chart.index != pos:
-                raise InvalidArgumentError("charts must be listed in coordinate order")
-            if chart.quotient.order != self.weight.entries[pos - 1]:
-                raise InvalidArgumentError("chart quotient order must match its weight entry")
-
-
 def _chart_quotients(w: Weight) -> Iterator[CyclicQuotientType]:
     """Chart i's quotient 1/a_i(-a_1, ..., 1, ..., -a_n), in chart order."""
     twists = [-a for a in w.entries]
@@ -117,8 +101,8 @@ def _chart_quotients(w: Weight) -> Iterator[CyclicQuotientType]:
         yield CyclicQuotientType(ai, (*twists[:i], 1, *twists[i + 1 :]))
 
 
-def charts(w: Weight) -> BlowupAtlas:
-    """Atlas of the blow-up of x1 = ... = xk = 0 with the given weight."""
+def charts(w: Weight) -> tuple[ChartDescription, ...]:
+    """The charts of the blow-up of x1 = ... = xk = 0 with weight w, chart i at index i - 1."""
     n = w.n
     descriptions = []
     for i, q in enumerate(_chart_quotients(w)):
@@ -129,7 +113,7 @@ def charts(w: Weight) -> BlowupAtlas:
             exps[i] = aj  # x_j -> u_j * u_i^(a_j); for j == i this leaves u_i^(a_i)
             images.append(Monomial(tuple(exps)))
         descriptions.append(ChartDescription(i + 1, q, tuple(images)))
-    return BlowupAtlas(w, tuple(descriptions))
+    return tuple(descriptions)
 
 
 def cartier_index(w: Weight) -> int:
@@ -210,7 +194,7 @@ def pushforward_membership(w: Weight, d: int, f: Polynomial) -> bool:
     monomials, so no terms of f cancel, and the order of f along E is the
     minimum of wt over its terms: f qualifies iff sigma_wt(w, f) >= d.
     """
-    _check_dim(w, "polynomial", f.ambient_dim)
+    _same_dim(w.n, f.ambient_dim)
     if f.is_zero():
         raise ZeroPolynomialError("the zero polynomial has no vanishing order")
     if d < 0:

@@ -153,7 +153,6 @@ def _cmd_symbolic(args: argparse.Namespace) -> tuple[dict, bool]:
 
 def _cmd_charts(args: argparse.Namespace) -> tuple[dict, bool]:
     w, inputs = _weight_inputs(args)
-    atlas = charts(w)
     chart_docs = [
         {
             "index": c.index,
@@ -161,7 +160,7 @@ def _cmd_charts(args: argparse.Namespace) -> tuple[dict, bool]:
             "map": _format_monomials(c.chart_map),
             "exceptional_coordinate": f"x{c.index}",
         }
-        for c in atlas.charts
+        for c in charts(w)
     ]
     result = {"cartier_index": cartier_index(w), "charts": chart_docs}
     return {"inputs": inputs, "result": result}, False

@@ -7,7 +7,7 @@ With K_X = f^*K_Y + discrepancy(w) E and the polarization L = f^*A - bE,
 a curve C in a fiber has nef value tau = -K.C / L.C = discrepancy(w) / b.
 The center codimension is the number k of positive entries and the fibers
 P(w) have dimension k - 1.  The terminality verdict is recorded as well;
-a profile's chart atlas is ``charts(profile.weight)``.
+a profile's charts are ``charts(profile.weight)``.
 ``validate_profile`` checks each number against its closed form in
 (n, r, b) (tau = r + 1/b, fiber dimension r + 1, discrepancy r*b + 1) and
 reports per-check results, so a hand-edited profile pinpoints exactly

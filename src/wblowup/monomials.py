@@ -194,11 +194,16 @@ class EqualityVerdict:
     """Outcome of an ideal comparison: EQUAL, or NOT_EQUAL plus a witness.
 
     The witness is a monomial lying in the larger ideal but not in the
-    smaller one, so a failed comparison is independently checkable.
+    smaller one, so a failed comparison is independently checkable.  The
+    verdict is its witness: ``EqualityVerdict()`` is EQUAL, and
+    ``EqualityVerdict(g)`` is NOT_EQUAL with witness g.
     """
 
-    equal: bool
     witness: Optional[Monomial] = None
+
+    @property
+    def equal(self) -> bool:
+        return self.witness is None
 
     @property
     def verdict(self) -> str:
@@ -354,8 +359,8 @@ def _power_verdict(
 
     for g in target.generators:
         if not in_power(g.exponents[:k]):
-            return EqualityVerdict(False, g)
-    return EqualityVerdict(True, None)
+            return EqualityVerdict(g)
+    return EqualityVerdict()
 
 
 def contains_monomial(ideal: MonomialIdeal, m: Monomial) -> bool:

@@ -9,7 +9,7 @@ the comparison returns a witness when they do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import InvalidArgumentError, InvariantViolationError, RadicalNotPrimeError
 from .monomials import (
@@ -36,10 +36,16 @@ class PrimaryMonomialIdeal:
     """A monomial ideal together with its variable-generated radical.
 
     ``radical_vars`` holds the 1-based indices of the variables generating
-    the radical.  The name records the intended use; the ideal itself is
-    not required to be primary, only to have a prime monomial radical: the
-    variables generate rad(I) exactly when I holds a pure power of each of
-    them and of no other variable, and every generator involves one of them.
+    the radical, and the constructor works it out from the ideal by one
+    scan of the generators' supports.  The name records the intended use;
+    the ideal itself is not required to be primary, only to have a prime
+    monomial radical: the variables generate rad(I) exactly when I holds a
+    pure power of each of them and of no other variable, and every
+    generator involves one of them.  The zero and unit ideals are refused
+    (INVALID_ARGUMENT), and so is an ideal with a mixed generator of rad(I)
+    such as x1*x2 (RADICAL_NOT_PRIME): it signals several minimal primes,
+    and the symbolic power would need a full primary decomposition, which
+    is out of scope here.
 
     Proof, for I neither zero nor the unit ideal: the minimal generators of
     rad(I) are the minimal supports of the generators of I.  So x_i
@@ -50,44 +56,34 @@ class PrimaryMonomialIdeal:
     the order (len(s), s), which is grlex order on squarefree monomials, is
     itself a generator of rad(I), since a proper subset that is a support
     would be a pure variable or a smaller avoiding support.  So it is the
-    first multi-variable generator of rad(I), and :func:`as_primary` names it.
+    first multi-variable generator of rad(I), and the constructor names it.
     """
 
     ideal: MonomialIdeal
-    radical_vars: frozenset[int]
+    radical_vars: frozenset[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        rad = self.radical_vars
-        pure, avoiding = _support_scan(self.ideal)
-        if rad and pure == rad and not avoiding:
-            return
-        raise InvalidArgumentError(f"variables {sorted(rad)} do not generate the ideal's radical")
-
-
-def _support_scan(ideal: MonomialIdeal) -> tuple[frozenset[int], list[list[int]]]:
-    """The pure variables of I, and the supports of the generators avoiding them."""
-    supports = [[i for i, e in enumerate(g.exponents, 1) if e] for g in ideal.generators]
-    pure = frozenset(s[0] for s in supports if len(s) == 1)
-    return pure, [s for s in supports if pure.isdisjoint(s)]
+        ideal = self.ideal
+        if ideal.is_zero() or ideal.is_unit():
+            raise InvalidArgumentError("the zero and unit ideals carry no radical data")
+        supports = [[i for i, e in enumerate(g.exponents, 1) if e] for g in ideal.generators]
+        pure = frozenset(s[0] for s in supports if len(s) == 1)
+        avoiding = [s for s in supports if pure.isdisjoint(s)]
+        if avoiding:
+            support = min(avoiding, key=lambda s: (len(s), s))
+            raise RadicalNotPrimeError(
+                f"radical generator with support {support} involves more than one variable"
+            )
+        object.__setattr__(self, "radical_vars", pure)
 
 
 def as_primary(ideal: MonomialIdeal) -> PrimaryMonomialIdeal:
     """Attach the radical data, refusing ideals whose radical is not prime.
 
     The radical of a monomial ideal is prime exactly when it is generated
-    by single variables; a mixed generator such as x1*x2 signals several
-    minimal primes and the symbolic power would need a full primary
-    decomposition, which is out of scope here.
+    by single variables; :class:`PrimaryMonomialIdeal` works it out.
     """
-    if ideal.is_zero() or ideal.is_unit():
-        raise InvalidArgumentError("the zero and unit ideals carry no radical data")
-    pure, avoiding = _support_scan(ideal)
-    if avoiding:
-        support = min(avoiding, key=lambda s: (len(s), s))
-        raise RadicalNotPrimeError(
-            f"radical generator with support {support} involves more than one variable"
-        )
-    return PrimaryMonomialIdeal(ideal, pure)
+    return PrimaryMonomialIdeal(ideal)
 
 
 def symbolic_power(primary: PrimaryMonomialIdeal, t: int) -> MonomialIdeal:
@@ -118,7 +114,7 @@ def symbolic_equals_ordinary(primary: PrimaryMonomialIdeal, t: int) -> EqualityV
     """
     sat = _checked_saturation(primary, t)
     if sat == primary.ideal:
-        return EqualityVerdict(True, None)
+        return EqualityVerdict()
     return _first_missed(primary, ideal_power(sat, t), t)
 
 
@@ -140,7 +136,7 @@ def compare_symbolic_power(
     sat = _checked_saturation(primary, t)
     sym = ideal_power(sat, t)
     if sat == primary.ideal:
-        return sym, EqualityVerdict(True, None)
+        return sym, EqualityVerdict()
     return sym, _first_missed(primary, sym, t)
 
 

@@ -26,6 +26,7 @@ from .monomials import (
     Polynomial,
     _ideal_from_grlex,
     _power_verdict,
+    _same_dim,
 )
 
 __all__ = [
@@ -87,15 +88,9 @@ class Weight:
         return self.entries[: self.k]
 
 
-def _check_dim(w: Weight, kind: str, ambient_dim: int) -> None:
-    """Refuse a monomial or polynomial (``kind``) that lives in other variables than ``w``."""
-    if ambient_dim != w.n:
-        raise InvalidArgumentError(f"{kind} lives in {ambient_dim} variables, weight in {w.n}")
-
-
 def monomial_weight(w: Weight, m: Monomial) -> int:
     """Weighted degree of a single monomial."""
-    _check_dim(w, "monomial", m.ambient_dim)
+    _same_dim(w.n, m.ambient_dim)
     return sum(a * s for a, s in zip(w.entries, m.exponents))
 
 
@@ -105,7 +100,7 @@ def sigma_wt(w: Weight, f: Polynomial) -> int:
     Undefined (an error) for the zero polynomial, which vanishes to every
     order.
     """
-    _check_dim(w, "polynomial", f.ambient_dim)
+    _same_dim(w.n, f.ambient_dim)
     if f.is_zero():
         raise ZeroPolynomialError("the zero polynomial has no weighted degree")
     return min(monomial_weight(w, m) for m, _ in f.terms)
@@ -207,7 +202,7 @@ def power_equality(w: Weight, L: int, d: int) -> EqualityVerdict:
     if d < 1:
         raise InvalidArgumentError(f"power exponent must be positive, got {d}")
     if d == 1:
-        return EqualityVerdict(True, None)
+        return EqualityVerdict()
     # Generators involve only the positive-weight variables.
     base = weighted_ideal_gens(w, L).generators
     return _power_verdict(weighted_ideal_gens(w, d * L), base, w.nonzero, d, threshold=True)

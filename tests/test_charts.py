@@ -1,4 +1,4 @@
-"""Blow-up chart atlases, cyclic quotient terminality, pushforward membership."""
+"""Blow-up charts, cyclic quotient terminality, pushforward membership."""
 
 from __future__ import annotations
 
@@ -18,8 +18,6 @@ from oracles import (
 )
 from strategies import monomials, polynomials, weights
 from wblowup.charts import (
-    BlowupAtlas,
-    ChartDescription,
     CyclicQuotientType,
     _age_sums,
     _chart_quotients,
@@ -33,6 +31,7 @@ from wblowup.charts import (
     reid_tai_ages,
 )
 from wblowup.errors import (
+    DimensionMismatchError,
     IllFormedActionError,
     InvalidArgumentError,
     ZeroPolynomialError,
@@ -85,21 +84,21 @@ class TestCyclicQuotientType:
 
 class TestCharts:
     def test_atlas_of_three_coprime_entries(self):
-        atlas = charts(Weight((10, 14, 35)))
-        assert cartier_index(atlas.weight) == 70
-        q1, q2, q3 = (c.quotient for c in atlas.charts)
+        w = Weight((10, 14, 35))
+        assert cartier_index(w) == 70
+        q1, q2, q3 = (c.quotient for c in charts(w))
         assert (q1.order, q1.twists) == (10, (1, 6, 5))
         assert (q2.order, q2.twists) == (14, (4, 1, 7))
         assert (q3.order, q3.twists) == (35, (25, 21, 1))
-        maps = [c.chart_map for c in atlas.charts]
+        maps = [c.chart_map for c in charts(w)]
         assert maps[0] == (M(10, 0, 0), M(14, 1, 0), M(35, 0, 1))
         assert maps[1] == (M(1, 10, 0), M(0, 14, 0), M(0, 35, 1))
         assert maps[2] == (M(1, 0, 10), M(0, 1, 14), M(0, 0, 35))
 
     def test_unweighted_coordinates_pass_through(self):
-        atlas = charts(Weight((1, 1, 3, 0)))
-        assert len(atlas.charts) == 3
-        chart3 = atlas.charts[2]
+        cs = charts(Weight((1, 1, 3, 0)))
+        assert len(cs) == 3
+        chart3 = cs[2]
         assert chart3.quotient.twists == (2, 2, 1, 0)
         assert chart3.chart_map == (
             M(1, 0, 1, 0),
@@ -109,24 +108,19 @@ class TestCharts:
         )
 
     def test_smooth_blowup_charts_are_trivial_quotients(self):
-        atlas = charts(Weight((1, 1)))
-        assert all(c.quotient.order == 1 for c in atlas.charts)
-        assert cartier_index(atlas.weight) == 1
+        w = Weight((1, 1))
+        assert all(c.quotient.order == 1 for c in charts(w))
+        assert cartier_index(w) == 1
 
     def test_atlas_invariants_enforced(self):
-        atlas = charts(Weight((2, 3)))
-        with pytest.raises(InvalidArgumentError):
-            BlowupAtlas(atlas.weight, atlas.charts[:1])
-        reversed_charts = tuple(reversed(atlas.charts))
-        with pytest.raises(InvalidArgumentError):
-            BlowupAtlas(atlas.weight, reversed_charts)
-        wrong_order = ChartDescription(
-            1,
-            CyclicQuotientType(7, atlas.charts[0].quotient.twists),
-            atlas.charts[0].chart_map,
-        )
-        with pytest.raises(InvalidArgumentError):
-            BlowupAtlas(atlas.weight, (wrong_order, atlas.charts[1]))
+        # The relations the deleted atlas class checked on construction now
+        # hold by construction of `charts(w)`: one chart per positive entry,
+        # in coordinate order, each quotient of order a_i.
+        w = Weight((2, 3))
+        cs = charts(w)
+        assert len(cs) == w.k == 2
+        assert [c.index for c in cs] == [1, 2]
+        assert [c.quotient.order for c in cs] == [2, 3]
 
 
 class TestCartierIndex:
@@ -258,14 +252,19 @@ class TestIsTerminalBlowup:
     def test_chart_quotients_are_well_formed(self):
         # The charts module docstring proves that no chart quotient is ill
         # formed, so the blow-up verdict never raises ILL_FORMED_ACTION.  The
-        # verdict reads `_chart_quotients`, which must give the atlas's quotients.
+        # verdict reads `_chart_quotients`, which must give the charts' quotients,
+        # one chart per positive entry in coordinate order.
         for k, tail in itertools.product(range(1, 5), range(2)):
             for entries in itertools.product(range(1, 7), repeat=k):
                 if math.gcd(*entries) != 1:
                     continue
                 w = Weight(entries + (0,) * tail)
                 quotients = tuple(_chart_quotients(w))
-                assert quotients == tuple(c.quotient for c in charts(w).charts), w
+                cs = charts(w)
+                assert len(cs) == w.k, w
+                for i, (c, ai) in enumerate(zip(cs, w.nonzero), start=1):
+                    assert (c.index, c.quotient.order) == (i, ai), w
+                assert quotients == tuple(c.quotient for c in cs), w
                 for index, q in enumerate(quotients, start=1):
                     assert well_formed(q.order, q.twists), (w, index)
                 is_terminal_blowup(w)
@@ -279,14 +278,13 @@ class TestIsTerminalBlowup:
 class TestSubstitution:
     def test_exceptional_exponent_is_weighted_degree(self):
         w = Weight((10, 14, 35))
-        atlas = charts(w)
         m = M(5, 4, 1)
-        for chart in atlas.charts:
+        for chart in charts(w):
             image = substitute_through_chart(chart, m)
             assert image.exponents[chart.index - 1] == 141
 
     def test_dimension_mismatch(self):
-        chart = charts(Weight((1, 1))).charts[0]
+        chart = charts(Weight((1, 1)))[0]
         with pytest.raises(InvalidArgumentError):
             substitute_through_chart(chart, M(1, 0, 0))
 
@@ -296,7 +294,7 @@ class TestSubstitution:
         w = data.draw(weights())
         m = data.draw(monomials(n=w.n, max_exp=5))
         expected = monomial_weight(w, m)
-        for chart in charts(w).charts:
+        for chart in charts(w):
             image = substitute_through_chart(chart, m)
             assert image.exponents[chart.index - 1] == expected
 
@@ -306,7 +304,7 @@ class TestSubstitution:
         w = data.draw(weights())
         m1 = data.draw(monomials(n=w.n, max_exp=4))
         m2 = data.draw(monomials(n=w.n, max_exp=4))
-        for chart in charts(w).charts:
+        for chart in charts(w):
             assert substitute_through_chart(chart, m1 * m2) == substitute_through_chart(
                 chart, m1
             ) * substitute_through_chart(chart, m2)
@@ -335,7 +333,7 @@ class TestPushforwardMembership:
         f = Polynomial.from_monomial(M(1, 0))
         with pytest.raises(InvalidArgumentError):
             pushforward_membership(w, -1, f)
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(DimensionMismatchError):
             pushforward_membership(w, 1, Polynomial.from_monomial(M(1, 0, 0)))
 
     @given(st.data(), st.integers(0, 20))

@@ -13,13 +13,26 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wblowup
-from oracles import brute_box_gens, brute_parse_polynomial, brute_pushforward_membership, grlex_key
+from oracles import (
+    brute_as_primary,
+    brute_box_gens,
+    brute_compare_symbolic_power,
+    brute_format_monomial,
+    brute_ill_formed_coordinate,
+    brute_parse_polynomial,
+    brute_pushforward_membership,
+    grlex_key,
+    terminal_lemma,
+)
+from strategies import prime_radical_ideals
+from wblowup.charts import CyclicQuotientType
 from wblowup.cli import _render_json, main
 from wblowup.monomials import Monomial
+from wblowup.symbolic import PrimaryMonomialIdeal
 from wblowup.weights import Weight, monomial_weight
 
 
@@ -426,6 +439,27 @@ class TestPush:
         assert exit_code == 2
         assert doc["result"] is None
         assert doc["error"] == {"code": code, "message": message}
+
+
+class TestLeadingMinus:
+    """A polynomial that starts with '-' and holds no blank goes after `--` and every flag."""
+
+    def test_after_double_dash(self, capsys):
+        argv = ["wt", "--weight", "1,1", "--n", "2", "--", "-x1"]
+        assert run_text(capsys, *argv) == (0, "sigma_wt: 1\n")
+        argv = ["push", "--weight", "1,1", "--n", "2", "--d", "1", "--json", "--", "-x1+x2"]
+        code, doc = run(capsys, *argv)
+        assert code == 0
+        assert doc["inputs"]["polynomial"] == "-x1 + x2"
+        assert doc["result"] == {"member": True}
+
+    def test_without_double_dash_argparse_refuses(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["wt", "--weight", "1,1", "--n", "2", "-x1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: wblowup wt")
 
 
 class TestProfile:
@@ -1070,6 +1104,39 @@ class TestDocumentsAgainstOracles:
         assert echoed.terms == tuple(expected)
         assert echoed == brute_parse_polynomial(text, w.n)
         assert doc["result"] == {"member": brute_pushforward_membership(w, d, echoed)}
+
+
+    @given(st.data(), st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_symbolic(self, data, n, t):
+        ideal = data.draw(prime_radical_ideals(n))
+        text = ",".join(map(brute_format_monomial, ideal.generators))
+        code, doc = run_json("symbolic", "--gens", text, "--n", str(n), "--t", str(t))
+        assert code == 0
+        result = doc["result"]
+        assert result["radical_vars"] == sorted(brute_as_primary(ideal))
+        # The oracle reads only the ideal and the radical checked just above.
+        sym, verdict = brute_compare_symbolic_power(PrimaryMonomialIdeal(ideal), t)
+        assert result["symbolic_generators"] == list(map(brute_format_monomial, sym.generators))
+        assert result["verdict"] == ("EQUAL" if verdict.witness is None else "NOT_EQUAL")
+        witnesses = [] if verdict.witness is None else [brute_format_monomial(verdict.witness)]
+        assert doc["witnesses"] == witnesses
+
+    @given(st.data(), st.integers(1, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_terminal(self, data, r):
+        twists = data.draw(st.tuples(*[st.integers(-r, 2 * r)] * 3))
+        assume(brute_ill_formed_coordinate(CyclicQuotientType(r, twists)) is None)
+        # A value that starts with '-' is attached with '=', or argparse reads a flag.
+        code, doc = run_json("terminal", "--r", str(r), "--twists=" + ",".join(map(str, twists)))
+        assert code == 0
+        assert doc["inputs"] == {"r": r, "twists": [b % r for b in twists]}
+        sums = [sum(j * b % r for b in twists) for j in range(1, r)]
+        assert doc["result"] == {
+            "mode": "quotient",
+            "terminal": terminal_lemma(r, twists),
+            "ages": [str(Fraction(s, r)) for s in sums],
+        }
 
 
 # Text draws any character, "\n" and non-ASCII ones included.

@@ -165,7 +165,7 @@ class TestFamilySweep:
             p = contraction_profile(n, r, b)
             assert p.discrepancy == discrepancy(p.weight)
             assert p.terminal == is_terminal_blowup(p.weight)
-            assert len(charts(p.weight).charts) == p.weight.k
+            assert len(charts(p.weight)) == p.weight.k
 
 
 class TestClassification:

@@ -82,7 +82,9 @@ def test_package_namespace():
             assert getattr(wblowup, public) is getattr(module, public), (name, public)
     # `ideals_equal` and `format_weight`, plain `==` and a join, live in tests/oracles.py.
     # So does `grlex_key`, the per-monomial key of the order the library sorts in.
-    assert len(owner) == 54
+    # The charts of a blow-up are the tuple `charts(w)`, with no atlas type.
+    assert len(owner) == 53
+    assert "BlowupAtlas" not in owner
     assert not {"ideals_equal", "format_weight", "grlex_key"} & set(dir(wblowup))
     # The star import of .charts rebinds the submodule's name to the function.
     assert wblowup.charts is sys.modules["wblowup.charts"].charts

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
 import pytest
@@ -15,6 +15,7 @@ from strategies import ideals, monomials, weights
 from wblowup.charts import pushforward_membership
 from wblowup.errors import DimensionMismatchError, InvalidArgumentError, ZeroPolynomialError
 from wblowup.monomials import (
+    EqualityVerdict,
     Monomial,
     MonomialIdeal,
     Polynomial,
@@ -406,3 +407,15 @@ class TestIdealsEqual:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             ideals_equal(I(M(1, 0)), I(M(1, 0, 0)))
+
+
+class TestEqualityVerdict:
+    def test_the_verdict_is_its_witness(self):
+        equal = EqualityVerdict()
+        assert (equal.equal, equal.verdict, equal.witness) == (True, "EQUAL", None)
+        g = M(2, 1)
+        missed = EqualityVerdict(g)
+        assert (missed.equal, missed.verdict, missed.witness) == (False, "NOT_EQUAL", g)
+        assert [f.name for f in fields(EqualityVerdict)] == ["witness"]
+        assert missed == EqualityVerdict(witness=M(2, 1)) != equal
+        assert hash(missed) == hash(EqualityVerdict(M(2, 1)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -74,22 +75,33 @@ class TestAsPrimary:
     @example(MonomialIdeal.unit(3))
     @settings(max_examples=500, deadline=None)
     def test_matches_radical_oracle(self, ideal):
-        # Same radical data, or the same error, as the route that forms rad(I).
+        # Same radical variables, or the same error, as the route that forms
+        # rad(I), through `as_primary` and through the constructor.
         def outcome(route):
             try:
                 return route(ideal)
             except WblowupError as exc:
                 return type(exc), exc.code, str(exc)
 
-        assert outcome(as_primary) == outcome(brute_as_primary)
+        expected = outcome(brute_as_primary)
+        assert outcome(lambda i: as_primary(i).radical_vars) == expected
+        assert outcome(lambda i: PrimaryMonomialIdeal(i).radical_vars) == expected
 
     def test_radical_vars_validated(self):
-        with pytest.raises(InvalidArgumentError):
-            PrimaryMonomialIdeal(I(M(1, 0)), frozenset())
-        with pytest.raises(InvalidArgumentError):
-            PrimaryMonomialIdeal(I(M(1, 0)), frozenset({3}))
-        with pytest.raises(InvalidArgumentError):
-            PrimaryMonomialIdeal(MonomialIdeal.zero(2), frozenset())
+        # The one-argument constructor works out the radical and refuses
+        # the zero and unit ideals and a mixed radical generator.
+        for ideal in (MonomialIdeal.zero(2), MonomialIdeal.unit(2)):
+            with pytest.raises(InvalidArgumentError) as exc:
+                PrimaryMonomialIdeal(ideal)
+            assert str(exc.value) == "the zero and unit ideals carry no radical data"
+        with pytest.raises(RadicalNotPrimeError) as exc:
+            PrimaryMonomialIdeal(I(M(1, 0, 1), M(0, 1, 1)))
+        assert exc.value.code == "RADICAL_NOT_PRIME"
+        assert str(exc.value) == (
+            "radical generator with support [1, 3] involves more than one variable"
+        )
+        with pytest.raises(TypeError):
+            PrimaryMonomialIdeal(I(M(1, 0)), frozenset({1}))
 
 
 class TestSymbolicPower:
@@ -146,21 +158,31 @@ class TestSymbolicPower:
                 assert symbolic_equals_ordinary(primary, t).equal, (b, k, t)
 
     def test_radical_given_directly_must_be_the_radical(self):
-        # (x1*x2) has the radical (x1*x2), not (x1): no pure power of x1.
-        with pytest.raises(InvalidArgumentError):
-            PrimaryMonomialIdeal(I(M(1, 1)), frozenset({1}))
-        # (x1^2, x2^3) has the radical (x1, x2), not (x1): a pure power of x2.
-        with pytest.raises(InvalidArgumentError):
-            PrimaryMonomialIdeal(I(M(2, 0), M(0, 3)), frozenset({1}))
-        # (x1, x2^2*x3) with {1, 3}: no pure power of x3.
-        with pytest.raises(InvalidArgumentError):
-            PrimaryMonomialIdeal(I(M(1, 0, 0), M(0, 2, 1)), frozenset({1, 3}))
-        # (x1^2, x2^2, x3*x4) with {1, 2}: x3*x4 involves neither.
+        # The radical cannot be given, only worked out, and the errors name
+        # the least mixed generator of rad(I).
+        def refused(ideal):
+            with pytest.raises(RadicalNotPrimeError) as exc:
+                PrimaryMonomialIdeal(ideal)
+            return str(exc.value).split(" involves")[0]
+
+        # (x1*x2) has the radical (x1*x2): no pure power of x1.
+        assert refused(I(M(1, 1))) == "radical generator with support [1, 2]"
+        # (x1, x2^2*x3): no pure power of x3, and x2*x3 avoids x1.
+        assert refused(I(M(1, 0, 0), M(0, 2, 1))) == "radical generator with support [2, 3]"
+        # (x1^2, x2^2, x3*x4): x3*x4 involves neither pure variable.
         mixed = I(M(2, 0, 0, 0), M(0, 2, 0, 0), M(0, 0, 1, 1))
-        with pytest.raises(InvalidArgumentError):
-            PrimaryMonomialIdeal(mixed, frozenset({1, 2}))
-        primary = PrimaryMonomialIdeal(I(M(2, 0, 0), M(1, 0, 5)), frozenset({1}))
+        assert refused(mixed) == "radical generator with support [3, 4]"
+        # (x1^2, x2^3) has the radical (x1, x2): a pure power of each.
+        assert PrimaryMonomialIdeal(I(M(2, 0), M(0, 3))).radical_vars == frozenset({1, 2})
+        primary = PrimaryMonomialIdeal(I(M(2, 0, 0), M(1, 0, 5)))
+        assert primary.radical_vars == frozenset({1})
         assert primary == as_primary(primary.ideal)
+        assert hash(primary) == hash(as_primary(primary.ideal))
+        # `replace` works the radical out again and refuses a given one.
+        wider = replace(primary, ideal=I(M(2, 0, 0), M(0, 1, 0)))
+        assert wider.radical_vars == frozenset({1, 2})
+        with pytest.raises(ValueError):
+            replace(primary, radical_vars=frozenset({1, 3}))
 
     def test_last_factor_is_tested_by_divisibility(self):
         # Saturating (x2, x1*x3, x3^2) off x1 gives (x2, x3).  x2*x3 has the

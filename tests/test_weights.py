@@ -17,6 +17,7 @@ from oracles import (
 )
 from strategies import monomials, polynomials, weights
 from wblowup.errors import (
+    DimensionMismatchError,
     InvalidArgumentError,
     InvalidWeightError,
     ZeroPolynomialError,
@@ -99,10 +100,11 @@ class TestSigmaWt:
             sigma_wt(w, Polynomial.zero(2))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(DimensionMismatchError, match="ambient dimensions differ: 2 vs 3"):
             monomial_weight(Weight((1, 1)), M(1, 0, 0))
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(DimensionMismatchError) as exc:
             sigma_wt(Weight((1, 1, 2)), Polynomial.from_monomial(M(1, 0)))
+        assert exc.value.code == "DIMENSION_MISMATCH"
 
     @given(st.data())
     @settings(max_examples=120)
