@@ -107,7 +107,7 @@ def _cmd_ideal(args: argparse.Namespace) -> tuple[dict, bool]:
     w, inputs = _weight_inputs(args)
     inputs["d"] = args.d
     ideal = weighted_ideal_gens(w, args.d)
-    gens = _format_monomials(ideal.generators)
+    gens = _format_monomials(ideal.exponents)
     return {"inputs": inputs, "result": {"generators": gens, "count": len(gens)}}, False
 
 
@@ -135,7 +135,7 @@ def _cmd_symbolic(args: argparse.Namespace) -> tuple[dict, bool]:
                 raise PolynomialSyntaxError(exc.message, start + exc.position) from None
             start += len(piece) + 1
         ideal = minimalize(gens, n)
-        inputs: dict = {"n": n, "generators": _format_monomials(ideal.generators)}
+        inputs: dict = {"n": n, "generators": _format_monomials(ideal.exponents)}
     else:
         w, inputs = _weight_inputs(args)
         inputs["L"] = args.L
@@ -145,7 +145,7 @@ def _cmd_symbolic(args: argparse.Namespace) -> tuple[dict, bool]:
     sym, verdict = compare_symbolic_power(primary, args.t)
     result = {
         "radical_vars": sorted(primary.radical_vars),
-        "symbolic_generators": _format_monomials(sym.generators),
+        "symbolic_generators": _format_monomials(sym.exponents),
         "verdict": verdict.verdict,
     }
     return _compared(inputs, result, verdict), not verdict.equal
@@ -157,7 +157,7 @@ def _cmd_charts(args: argparse.Namespace) -> tuple[dict, bool]:
         {
             "index": c.index,
             "quotient": {"order": c.quotient.order, "twists": list(c.quotient.twists)},
-            "map": _format_monomials(c.chart_map),
+            "map": _format_monomials([m.exponents for m in c.chart_map]),
             "exceptional_coordinate": f"x{c.index}",
         }
         for c in charts(w)

@@ -3,10 +3,12 @@
 The ambient ring is C[x1, ..., xn] for a fixed n; variables are indexed
 1-based throughout.  A monomial is an exponent tuple, a polynomial maps
 monomials to nonzero exact rational coefficients, and a monomial ideal is
-stored by its minimal monomial generating set, which is an antichain under
-divisibility and is unique.  The constructors put every value in canonical
-form (like terms combined and sorted, generators minimal and sorted), so
-``==`` on values is equality of polynomials and of ideals.
+stored by the exponent tuples of its minimal monomial generating set, which
+is an antichain under divisibility and is unique.  The constructors put
+every value in canonical form (like terms combined and sorted, generators
+minimal and sorted), so ``==`` on values is equality of polynomials and of
+ideals.  The ideal kernels work on plain int tuples throughout and build
+no ``Monomial``; ``MonomialIdeal.generators`` builds them for callers.
 
 All values are immutable and every operation is a pure function, so values
 can be shared freely (including across threads).
@@ -14,9 +16,11 @@ can be shared freely (including across threads).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le, mul, sub
+from itertools import islice
+from operator import add, le, mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatchError, InvalidArgumentError
@@ -151,28 +155,34 @@ class Polynomial:
         return Polynomial(self.ambient_dim, tuple(products))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MonomialIdeal:
-    """A monomial ideal, stored by its minimal generators in grlex order.
+    """A monomial ideal, stored by the exponent tuples of its minimal generators.
 
-    The constructor accepts any generating set and keeps its
-    divisibility-minimal members, so equal ideals compare equal.  The empty
-    generator tuple is the zero ideal; the single generator 1 is the unit
-    ideal.
+    ``MonomialIdeal(n, generators)`` accepts any generating set of
+    ``Monomial``s and keeps its divisibility-minimal members, in grlex
+    order, as plain int tuples in ``exponents``; so ``==`` and ``hash`` on
+    ``(ambient_dim, exponents)`` are equality of ideals.  ``generators``
+    builds the ``Monomial``s on request.  The empty tuple is the zero
+    ideal; the single generator 1 is the unit ideal.
     """
 
     ambient_dim: int
-    generators: tuple[Monomial, ...] = ()
+    exponents: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        by_exps: dict[tuple[int, ...], Monomial] = {}
-        for g in self.generators:
-            _same_dim(g.ambient_dim, self.ambient_dim)
-            by_exps[g.exponents] = g
-        if self.ambient_dim < 1:
+    def __init__(self, ambient_dim: int, generators: Iterable[Monomial] = ()) -> None:
+        exps: set[tuple[int, ...]] = set()
+        for g in generators:
+            _same_dim(g.ambient_dim, ambient_dim)
+            exps.add(g.exponents)
+        if ambient_dim < 1:
             raise InvalidArgumentError("ambient dimension must be at least 1")
-        kept = tuple(by_exps[e] for e in _grlex_antichain(by_exps))
-        object.__setattr__(self, "generators", kept)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "exponents", tuple(_grlex_antichain(exps)))
+
+    @property
+    def generators(self) -> tuple[Monomial, ...]:
+        return tuple(map(Monomial, self.exponents))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "MonomialIdeal":
@@ -183,10 +193,11 @@ class MonomialIdeal:
         return cls(ambient_dim, (Monomial.one(ambient_dim),))
 
     def is_zero(self) -> bool:
-        return not self.generators
+        return not self.exponents
 
     def is_unit(self) -> bool:
-        return any(g.is_one() for g in self.generators)
+        # Generators are in grlex order, so 1 can only come first.
+        return bool(self.exponents) and not any(self.exponents[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,33 +267,20 @@ def _grlex_antichain(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
 def _ideal_from_grlex(ambient_dim: int, exps: Iterable[tuple[int, ...]]) -> MonomialIdeal:
     """The ideal of exponent tuples that are distinct, minimal and in grlex order.
 
-    The one path that skips the constructors, for kernel output that is
-    already canonical: each tuple must be a tuple of non-negative ints of
-    length ``ambient_dim``, so each ``Monomial`` is built by setting its
-    slot directly, without the checks of ``Monomial.__post_init__``.
+    The one path that skips the constructor's antichain scan, for kernel
+    output that is already canonical: each tuple must be a tuple of
+    non-negative ints of length ``ambient_dim``.
     """
-    if ambient_dim < 1:
-        raise InvalidArgumentError("ambient dimension must be at least 1")
-    new, set_exponents = object.__new__, Monomial.exponents.__set__
-    gens = []
-    for e in exps:
-        g = new(Monomial)
-        set_exponents(g, e)
-        gens.append(g)
     ideal = object.__new__(MonomialIdeal)
     object.__setattr__(ideal, "ambient_dim", ambient_dim)
-    object.__setattr__(ideal, "generators", tuple(gens))
+    object.__setattr__(ideal, "exponents", tuple(exps))
     return ideal
 
 
 def ideal_product(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal:
     """Product ideal, generated by pairwise products of generators."""
     _same_dim(left.ambient_dim, right.ambient_dim)
-    prods = {
-        tuple(a + b for a, b in zip(g.exponents, h.exponents))
-        for g in left.generators
-        for h in right.generators
-    }
+    prods = {tuple(map(add, g, h)) for g in left.exponents for h in right.exponents}
     return _ideal_from_grlex(left.ambient_dim, _grlex_antichain(prods))
 
 
@@ -299,27 +297,31 @@ def ideal_power(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
 
 
 def _power_verdict(
-    target: MonomialIdeal, base: Sequence[Monomial], a: Sequence[int], t: int, threshold: bool
+    target: Sequence[tuple[int, ...]],
+    base: Sequence[tuple[int, ...]],
+    a: Sequence[int],
+    t: int,
+    threshold: bool,
 ) -> EqualityVerdict:
-    """Whether ``target`` lies in the t-th power of the ideal generated by ``base``.
+    """Whether the generators ``target`` lie in the t-th power of (``base``).
 
-    The power is never formed, and the generators of ``target`` are walked
-    in grlex order, so a NOT_EQUAL witness is the first one the power
-    misses.  All generators must involve only the first len(a) variables,
-    which carry the linear weight ``a``; let floor be the least weight in
-    the base.  A monomial e lies in the t-th power when some base generator
-    h divides e with e / h in the (t-1)-th power (for t = 1, when some h
-    divides e).  A rest weighing less than (t-1)*floor is cut, as no product
-    of t-1 base generators weighs less, and answers are memoised on (e, t)
-    for the one call.  With ``threshold`` the base is every minimal monomial
-    of weight >= L for some L, and the last factor is not tested: a rest
-    that passes the cut weighs at least floor >= L, so it is a member.  The
-    cut drops no member either: a rest of weight >= L lies in the
-    threshold-L ideal, so some base generator divides it, and so its weight
-    is at least floor.
+    Both are sequences of exponent tuples.  The power is never formed, and
+    ``target`` is walked in grlex order, so a NOT_EQUAL witness is the first
+    one the power misses, and the only ``Monomial`` built.  All tuples must
+    involve only the first len(a) variables, which carry the linear weight
+    ``a``; let floor be the least weight in the base.  A monomial e lies in
+    the t-th power when some base generator h divides e with e / h in the
+    (t-1)-th power (for t = 1, when some h divides e).  A rest weighing less
+    than (t-1)*floor is cut, as no product of t-1 base generators weighs
+    less, and answers are memoised on (e, t) for the one call.  With
+    ``threshold`` the base is every minimal monomial of weight >= L for some
+    L, and the last factor is not tested: a rest that passes the cut weighs
+    at least floor >= L, so it is a member.  The cut drops no member either:
+    a rest of weight >= L lies in the threshold-L ideal, so some base
+    generator divides it, and so its weight is at least floor.
     """
     k = len(a)
-    factors = [(h.exponents[:k], sum(map(mul, a, h.exponents))) for h in base]
+    factors = [(h[:k], sum(map(mul, a, h))) for h in base]
     floor = min(weight for _, weight in factors)
     memo: dict[tuple[tuple[int, ...], int], bool] = {}
 
@@ -357,17 +359,25 @@ def _power_verdict(
                 stack.pop()
         return False
 
-    for g in target.generators:
-        if not in_power(g.exponents[:k]):
-            return EqualityVerdict(g)
+    for g in target:
+        if not in_power(g[:k]):
+            return EqualityVerdict(Monomial(g))
     return EqualityVerdict()
+
+
+def _has_divisor(exps: Sequence[tuple[int, ...]], e: tuple[int, ...]) -> bool:
+    """True iff some tuple of ``exps``, which are in grlex order, divides ``e``.
+
+    A divisor has degree at most that of ``e``, so the scan stops there.
+    """
+    stop = bisect_right(exps, sum(e), key=sum)
+    return any(all(map(le, g, e)) for g in islice(exps, stop))
 
 
 def contains_monomial(ideal: MonomialIdeal, m: Monomial) -> bool:
     """True iff some generator divides m."""
     _same_dim(ideal.ambient_dim, m.ambient_dim)
-    me = m.exponents
-    return any(all(map(le, g.exponents, me)) for g in ideal.generators)
+    return _has_divisor(ideal.exponents, m.exponents)
 
 
 def contains(ideal: MonomialIdeal, f: Polynomial) -> bool:
@@ -376,16 +386,15 @@ def contains(ideal: MonomialIdeal, f: Polynomial) -> bool:
     The zero polynomial belongs to every ideal, including the zero ideal.
     """
     _same_dim(ideal.ambient_dim, f.ambient_dim)
-    return all(contains_monomial(ideal, m) for m, _ in f.terms)
+    exps = ideal.exponents
+    return all(_has_divisor(exps, m.exponents) for m, _ in f.terms)
 
 
 def colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """Colon ideal (I : m), computed generator-wise as g / gcd(g, m)."""
     _same_dim(ideal.ambient_dim, m.ambient_dim)
     me = m.exponents
-    quotients = {
-        tuple(max(g - x, 0) for g, x in zip(gen.exponents, me)) for gen in ideal.generators
-    }
+    quotients = {tuple(max(g - x, 0) for g, x in zip(gen, me)) for gen in ideal.exponents}
     return _ideal_from_grlex(ideal.ambient_dim, _grlex_antichain(quotients))
 
 
@@ -398,14 +407,12 @@ def saturate(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     sum of principal monomial ideals is the sum of the quotients.
     """
     _same_dim(ideal.ambient_dim, m.ambient_dim)
-    zeroed = {
-        tuple(0 if x else g for g, x in zip(gen.exponents, m.exponents))
-        for gen in ideal.generators
-    }
+    me = m.exponents
+    zeroed = {tuple(0 if x else g for g, x in zip(gen, me)) for gen in ideal.exponents}
     return _ideal_from_grlex(ideal.ambient_dim, _grlex_antichain(zeroed))
 
 
 def radical(ideal: MonomialIdeal) -> MonomialIdeal:
     """Radical of a monomial ideal: squarefree supports of the generators."""
-    supports = {tuple(1 if e > 0 else 0 for e in g.exponents) for g in ideal.generators}
+    supports = {tuple(1 if e > 0 else 0 for e in g) for g in ideal.exponents}
     return _ideal_from_grlex(ideal.ambient_dim, _grlex_antichain(supports))

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import attrgetter
 from typing import Sequence
 
 from .errors import InvalidArgumentError, InvalidWeightError, PolynomialSyntaxError
@@ -128,14 +127,15 @@ def parse_monomial(text: str, ambient_dim: int) -> Monomial:
     return poly.terms[0][0]
 
 
-def _format_monomials(ms: Sequence[Monomial]) -> list[str]:
-    """format_monomial of each of ms, which share one ambient dimension.
+def _format_monomials(exps: Sequence[tuple[int, ...]]) -> list[str]:
+    """format_monomial of the monomial of each exponent tuple of ``exps``.
 
-    Works column by column: each variable maps the distinct exponents of
-    its column to factor strings once, and the rows are joined in C.
+    The tuples share one length.  Works column by column: each variable
+    maps the distinct exponents of its column to factor strings once, and
+    the rows are joined in C.
     """
     columns = []
-    for i, column in enumerate(zip(*map(attrgetter("exponents"), ms)), start=1):
+    for i, column in enumerate(zip(*exps), start=1):
         factors = {e: f"*x{i}^{e}" if e > 1 else f"*x{i}" if e else "" for e in set(column)}
         columns.append(map(factors.__getitem__, column))
     return [row[1:] or "1" for row in map("".join, zip(*columns))]
@@ -143,7 +143,7 @@ def _format_monomials(ms: Sequence[Monomial]) -> list[str]:
 
 def format_monomial(m: Monomial) -> str:
     """Inverse of parse_monomial; the empty exponent vector prints as "1"."""
-    return _format_monomials((m,))[0]
+    return _format_monomials((m.exponents,))[0]
 
 
 def format_polynomial(f: Polynomial) -> str:
@@ -151,7 +151,7 @@ def format_polynomial(f: Polynomial) -> str:
     if f.is_zero():
         return "0"
     pieces = []
-    texts = _format_monomials([m for m, _ in f.terms])
+    texts = _format_monomials([m.exponents for m, _ in f.terms])
     for position, ((_, c), text) in enumerate(zip(f.terms, texts)):
         magnitude = abs(c)
         if text == "1":

@@ -16,8 +16,8 @@ from .monomials import (
     EqualityVerdict,
     Monomial,
     MonomialIdeal,
+    _has_divisor,
     _power_verdict,
-    contains_monomial,
     ideal_power,
     saturate,
 )
@@ -66,7 +66,7 @@ class PrimaryMonomialIdeal:
         ideal = self.ideal
         if ideal.is_zero() or ideal.is_unit():
             raise InvalidArgumentError("the zero and unit ideals carry no radical data")
-        supports = [[i for i, e in enumerate(g.exponents, 1) if e] for g in ideal.generators]
+        supports = [[i for i, e in enumerate(g, 1) if e] for g in ideal.exponents]
         pure = frozenset(s[0] for s in supports if len(s) == 1)
         avoiding = [s for s in supports if pure.isdisjoint(s)]
         if avoiding:
@@ -151,11 +151,9 @@ def _checked_saturation(primary: PrimaryMonomialIdeal, t: int) -> MonomialIdeal:
     n = ideal.ambient_dim
     outside = tuple(0 if i in primary.radical_vars else 1 for i in range(1, n + 1))
     sat = saturate(ideal, Monomial(outside))
-    for g in ideal.generators:
-        if not contains_monomial(sat, g):
-            raise InvariantViolationError(
-                f"generator {g.exponents} of the ideal escaped its saturation"
-            )
+    for g in ideal.exponents:
+        if not _has_divisor(sat.exponents, g):
+            raise InvariantViolationError(f"generator {g} of the ideal escaped its saturation")
     return sat
 
 
@@ -164,9 +162,6 @@ def _first_missed(
 ) -> EqualityVerdict:
     """EQUAL, or NOT_EQUAL with the first generator of ``sym`` outside I^t."""
     rad = primary.radical_vars
-    base = [
-        g
-        for g in primary.ideal.generators
-        if all(i in rad for i, e in enumerate(g.exponents, start=1) if e)
-    ]
-    return _power_verdict(sym, base, (1,) * primary.ideal.ambient_dim, t, threshold=False)
+    base = [g for g in primary.ideal.exponents if all(i in rad for i, e in enumerate(g, 1) if e)]
+    n = primary.ideal.ambient_dim
+    return _power_verdict(sym.exponents, base, (1,) * n, t, threshold=False)

@@ -204,8 +204,9 @@ def power_equality(w: Weight, L: int, d: int) -> EqualityVerdict:
     if d == 1:
         return EqualityVerdict()
     # Generators involve only the positive-weight variables.
-    base = weighted_ideal_gens(w, L).generators
-    return _power_verdict(weighted_ideal_gens(w, d * L), base, w.nonzero, d, threshold=True)
+    base = weighted_ideal_gens(w, L).exponents
+    target = weighted_ideal_gens(w, d * L).exponents
+    return _power_verdict(target, base, w.nonzero, d, threshold=True)
 
 
 def find_normality_index(w: Weight, d_max: int, L_max: int) -> Optional[int]:

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from oracles import (
     brute_format_monomial,
     brute_ill_formed_coordinate,
     brute_parse_polynomial,
+    brute_power_equality,
     brute_pushforward_membership,
     grlex_key,
     terminal_lemma,
@@ -31,7 +33,7 @@ from oracles import (
 from strategies import prime_radical_ideals
 from wblowup.charts import CyclicQuotientType
 from wblowup.cli import _render_json, main
-from wblowup.monomials import Monomial
+from wblowup.monomials import Monomial, contains_monomial, ideal_power, minimalize
 from wblowup.symbolic import PrimaryMonomialIdeal
 from wblowup.weights import Weight, monomial_weight
 
@@ -1032,6 +1034,33 @@ def term_text(exps: tuple[int, ...], c: Fraction) -> str:
     return factors if abs(c) == 1 else f"{abs(c)}*{factors}"
 
 
+def draw_polynomial(data, w: Weight) -> tuple[str, list]:
+    """A polynomial text in ``w.n`` variables and its canonical terms, drawn.
+
+    Few monomials and repeated draws give like terms, and the negated
+    copies of a drawn prefix cancel some terms or all of them, which leaves
+    no canonical term.
+    """
+    pool = data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * w.n), min_size=1, max_size=3))
+    coefficients = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    terms = data.draw(
+        st.lists(st.tuples(st.sampled_from(pool), coefficients), min_size=1, max_size=5)
+    )
+    cancelled = data.draw(st.integers(0, len(terms)))
+    terms = data.draw(st.permutations(terms + [(e, -c) for e, c in terms[:cancelled]]))
+    text = "".join(
+        ("-" if c < 0 else "+" if pos else "") + term_text(e, c)
+        for pos, (e, c) in enumerate(terms)
+    )
+    sums: dict[tuple[int, ...], Fraction] = {}
+    for e, c in terms:
+        sums[e] = sums.get(e, Fraction(0)) + c
+    expected = sorted(
+        ((Monomial(e), c) for e, c in sums.items() if c), key=lambda t: grlex_key(t[0])
+    )
+    return text, expected
+
+
 class TestDocumentsAgainstOracles:
     """Random documents, each answer checked along the route tests/oracles.py takes."""
 
@@ -1074,26 +1103,8 @@ class TestDocumentsAgainstOracles:
     @given(st.data(), small_weights())
     @settings(max_examples=40, deadline=None)
     def test_push(self, data, w):
-        # Few monomials and repeated draws give like terms; the negated copies
-        # of a drawn prefix cancel some terms, or all of them.
-        pool = data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * w.n), min_size=1, max_size=3))
-        coefficients = st.fractions(-3, 3, max_denominator=3).filter(bool)
-        terms = data.draw(
-            st.lists(st.tuples(st.sampled_from(pool), coefficients), min_size=1, max_size=5)
-        )
-        cancelled = data.draw(st.integers(0, len(terms)))
-        terms = data.draw(st.permutations(terms + [(e, -c) for e, c in terms[:cancelled]]))
+        text, expected = draw_polynomial(data, w)
         d = data.draw(st.integers(0, 2 * max(w.entries) + 2))
-        text = "".join(
-            ("-" if c < 0 else "+" if pos else "") + term_text(e, c)
-            for pos, (e, c) in enumerate(terms)
-        )
-        sums: dict[tuple[int, ...], Fraction] = {}
-        for e, c in terms:
-            sums[e] = sums.get(e, Fraction(0)) + c
-        expected = sorted(
-            ((Monomial(e), c) for e, c in sums.items() if c), key=lambda t: grlex_key(t[0])
-        )
         code, doc = run_json("push", *weight_args(w), "--d", str(d), "--", text)
         if not expected:
             assert code == 2
@@ -1105,6 +1116,42 @@ class TestDocumentsAgainstOracles:
         assert echoed == brute_parse_polynomial(text, w.n)
         assert doc["result"] == {"member": brute_pushforward_membership(w, d, echoed)}
 
+    @given(st.data(), small_weights())
+    @settings(max_examples=40, deadline=None)
+    def test_wt(self, data, w):
+        text, expected = draw_polynomial(data, w)
+        code, doc = run_json("wt", *weight_args(w), "--", text)
+        if not expected:
+            assert code == 2
+            assert doc["error"]["code"] == "ZERO_POLYNOMIAL"
+            return
+        assert code == 0
+        least = min(sum(map(operator.mul, w.entries, m.exponents)) for m, _ in expected)
+        assert doc["result"] == {"sigma_wt": least}
+
+    @given(st.data(), st.integers(1, 6), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_normality_check(self, data, L, d):
+        # Entries up to 4 and L up to 6 keep the oracle's power small.
+        entries = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        if math.gcd(*entries) != 1:
+            entries[0] = 1
+        w = Weight(tuple(entries) + (0,) * data.draw(st.integers(0, 1)))
+        code, doc = run_json("normality", *weight_args(w), "--L", str(L), "--d", str(d))
+        assert code == 0
+        expected = brute_power_equality(w, L, d)
+        assert doc["result"] == {"mode": "check", "verdict": expected.verdict}
+        if expected.equal:
+            assert doc["witnesses"] == []
+            return
+        assert doc["witnesses"] == [brute_format_monomial(expected.witness)]
+        # The witness checked on its own terms: it weighs at least d*L, and
+        # no product of d minimal monomials of weight >= L divides it.
+        ((g, c),) = brute_parse_polynomial(doc["witnesses"][0], w.n).terms
+        assert c == 1
+        assert sum(map(operator.mul, w.entries, g.exponents)) >= d * L
+        base = minimalize(map(Monomial, brute_box_gens(w.entries, L)), w.n)
+        assert not contains_monomial(ideal_power(base, d), g)
 
     @given(st.data(), st.integers(1, 4), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
