@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import repeat
 from operator import add, le, mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
@@ -368,10 +368,13 @@ def _power_verdict(
 def _has_divisor(exps: Sequence[tuple[int, ...]], e: tuple[int, ...]) -> bool:
     """True iff some tuple of ``exps``, which are in grlex order, divides ``e``.
 
-    A divisor has degree at most that of ``e``, so the scan stops there.
+    A divisor has degree at most that of ``e``, so the scan covers only the
+    tuples up to that degree.  It walks them downward from there: a member
+    just above a threshold has its divisors a few degrees below it, so most
+    scans that succeed stop early.  The tests run as C-level ``map``s.
     """
     stop = bisect_right(exps, sum(e), key=sum)
-    return any(all(map(le, g, e)) for g in islice(exps, stop))
+    return any(map(all, map(map, repeat(le), reversed(exps[:stop]), repeat(e))))
 
 
 def contains_monomial(ideal: MonomialIdeal, m: Monomial) -> bool:

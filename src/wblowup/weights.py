@@ -113,11 +113,12 @@ def _minimal_generator_exponents(entries: tuple[int, ...], d: int) -> list[tuple
     normalization is assumed, so callers may pass raw thresholds.  A vector
     s is minimal exactly when its weight lands in [d, d + min of the weights
     of its support), i.e. dropping any single present variable falls below
-    the threshold.  The search fixes the first k - 1 positive coordinates
+    the threshold.  The search fixes the first k - 2 positive coordinates
     depth first, each in ascending order, and never leaves the box
-    s_i <= ceil(d / a_i).  The last positive coordinate needs no search:
-    below the threshold only its smallest exponent reaching d can be
-    minimal, so each prefix costs one step and yields at most one vector.
+    s_i <= ceil(d / a_i).  The last two positive coordinates take one loop:
+    below the threshold only the smallest last exponent reaching d can be
+    minimal, so each value of the second to last yields at most one vector,
+    with its last exponent in closed form.
     """
     n = len(entries)
     k = n - entries.count(0)
@@ -125,25 +126,45 @@ def _minimal_generator_exponents(entries: tuple[int, ...], d: int) -> list[tuple
         return [(0,) * n]
     if k == 0:
         return []
+    a_last = entries[k - 1]
+    if k == 1:
+        return [(-(-d // a_last),) + entries[1:]]
     a = entries[:k]
     last = k - 1
-    a_last = a[last]
     out: list[tuple[int, ...]] = []
     s = [0] * n
     unbounded = d + max(a) + 1  # sentinel above any reachable cap
 
     def rec(i: int, acc: int, cap: int) -> None:
         # cap = d + min weight among variables already present (sentinel if
-        # none); acc < d on entry, so acc + t * a_last < d + a_last below.
-        if i == last:
-            t = -((acc - d) // a_last)
-            if acc + t * a_last < cap:
-                s[last] = t
+        # none); acc < d on entry.
+        ai = a[i]
+        if i == last - 1:
+            # For each s_i = t whose weight stays below d, s_last is the
+            # least u reaching d; the vector weighs below d + a_last, so only
+            # the cap can fail it (d + a_i joins the cap once t >= 1).
+            u = -((acc - d) // a_last)
+            if acc + u * a_last < cap:
+                s[last] = u
                 out.append(tuple(s))
+            new_cap = min(cap, d + ai)
+            t = 0
+            for weight in range(acc + ai, d, ai):
+                t += 1
+                u = -((weight - d) // a_last)
+                if weight + u * a_last < new_cap:
+                    s[i] = t
+                    s[last] = u
+                    out.append(tuple(s))
+            # The first s_i reaching d alone weighs below d + a_i.
+            t = -((acc - d) // ai)
+            if acc + t * ai < cap:
+                s[i] = t
                 s[last] = 0
+                out.append(tuple(s))
+            s[i] = s[last] = 0
             return
         rec(i + 1, acc, cap)
-        ai = a[i]
         new_cap = min(cap, d + ai)
         weight = acc + ai
         t = 1

@@ -297,6 +297,20 @@ def high_length_weights(c: int, max_entry: int) -> list[Weight]:
     return out
 
 
+def brute_chart_ages(w: Weight) -> list[list[Fraction]]:
+    """Reid-Tai ages of each chart quotient of the blow-up with weight w.
+
+    Chart i is 1/a_i(-a_1, ..., 1, ..., -a_n), built here from the weight;
+    element j = 1..a_i - 1 has age sum_l frac(j * twist_l / a_i), summed
+    as exact fractions.  A chart of order 1 has no ages.
+    """
+    out = []
+    for i, ai in enumerate(w.nonzero):
+        twists = [1 if l == i else -a for l, a in enumerate(w.entries)]
+        out.append([sum(Fraction(j * b, ai) % 1 for b in twists) for j in range(1, ai)])
+    return out
+
+
 def terminal_lemma(r: int, twists: tuple[int, int, int]) -> bool:
     """Terminality of a well-formed 3-dimensional quotient 1/r(twists).
 

@@ -21,6 +21,7 @@ import wblowup
 from oracles import (
     brute_as_primary,
     brute_box_gens,
+    brute_chart_ages,
     brute_compare_symbolic_power,
     brute_format_monomial,
     brute_ill_formed_coordinate,
@@ -1184,6 +1185,27 @@ class TestDocumentsAgainstOracles:
             "terminal": terminal_lemma(r, twists),
             "ages": [str(Fraction(s, r)) for s in sums],
         }
+
+    @given(st.data(), st.integers(2, 8), st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_profile(self, data, n, b):
+        r = data.draw(st.integers(0, n - 2))
+        code, doc = run_json("profile", "--n", str(n), "--r", str(r), "--b", str(b))
+        assert code == 0
+        assert doc["inputs"] == {"n": n, "r": r, "b": b}
+        entries = (1, 1) + (b,) * r + (0,) * (n - r - 2)
+        ages = brute_chart_ages(Weight(entries))
+        assert doc["result"] == {
+            "tau": str(r + Fraction(1, b)),
+            "weight": list(entries),
+            "center_codim": r + 2,
+            "fiber_dim": r + 1,
+            "discrepancy": r * b + 1,
+            "cartier_index": math.lcm(*entries[: r + 2]),
+            "terminal": all(age > 1 for chart in ages for age in chart),
+            "all_checks_pass": True,
+        }
+        assert all(check["passed"] for check in doc["checks"])
 
 
 # Text draws any character, "\n" and non-ASCII ones included.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import pickle
 import random
 import sys
@@ -14,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_has_power_in, brute_saturate, grlex_key, ideals_equal
-from strategies import ideals, monomials, weights
+from strategies import exponent_tuples, ideals, monomials, weights
 from wblowup.charts import pushforward_membership
 from wblowup.errors import DimensionMismatchError, InvalidArgumentError, ZeroPolynomialError
 from wblowup.monomials import (
@@ -22,6 +23,8 @@ from wblowup.monomials import (
     Monomial,
     MonomialIdeal,
     Polynomial,
+    _grlex,
+    _has_divisor,
     colon,
     contains,
     contains_monomial,
@@ -32,7 +35,13 @@ from wblowup.monomials import (
     radical,
     saturate,
 )
-from wblowup.weights import Weight, _minimal_generator_exponents, sigma_wt, weighted_ideal_gens
+from wblowup.weights import (
+    Weight,
+    _minimal_generator_exponents,
+    monomial_weight,
+    sigma_wt,
+    weighted_ideal_gens,
+)
 
 
 def M(*exps: int) -> Monomial:
@@ -265,6 +274,71 @@ class TestContains:
     def test_unit_contains_everything(self):
         f = Polynomial.from_terms([(M(0, 0), 7), (M(3, 1), -2)], 2)
         assert contains(MonomialIdeal.unit(2), f)
+
+
+@st.composite
+def tuples_of_degree(draw, n: int, degree: int) -> tuple[int, ...]:
+    """An exponent tuple of length n and total degree ``degree``."""
+    cuts = sorted(draw(st.lists(st.integers(0, degree), min_size=n - 1, max_size=n - 1)))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, degree]))
+
+
+def below_degree(e: tuple[int, ...], degree: int) -> tuple[int, ...]:
+    """``e`` with its largest entries lowered until its degree is below ``degree``."""
+    e = list(e)
+    while sum(e) >= degree:
+        e[e.index(max(e))] -= 1
+    return tuple(e)
+
+
+class TestDivisorScan:
+    """``_has_divisor`` scans downward from the probe's degree in grlex order."""
+
+    @given(st.data(), st.integers(1, 4), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_forward_scan_of_every_tuple(self, data, n, equal_degree):
+        if equal_degree:
+            degree = data.draw(st.integers(0, 6))
+            drawn = data.draw(st.lists(tuples_of_degree(n, degree), max_size=8))
+        else:
+            drawn = data.draw(st.lists(exponent_tuples(n, 5), max_size=8))
+        # Any grlex-ordered sequence will do; it need not be an antichain.
+        exps = tuple(_grlex(drawn))
+        probe = data.draw(exponent_tuples(n, 6))
+        probes = [probe, (0,) * n]
+        if exps:
+            lowest = sum(exps[0])
+            if lowest:
+                probes.append(below_degree(probe, lowest))  # below every tuple
+            probes.append(data.draw(st.sampled_from(exps)))
+        for e in probes:
+            forward = any(all(g <= x for g, x in zip(f, e)) for f in exps)
+            assert _has_divisor(exps, e) == forward
+
+    def test_probe_below_every_generator(self):
+        exps = MonomialIdeal(3, (M(1, 1, 0), M(0, 0, 2))).exponents
+        assert not _has_divisor(exps, (0, 0, 0))
+        assert not _has_divisor(exps, (1, 0, 0))
+        assert not _has_divisor((), (0, 0, 0))
+        assert _has_divisor(MonomialIdeal.unit(3).exponents, (0, 0, 0))
+
+    @given(st.data(), st.integers(0, 30), st.integers(0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_threshold_membership_near_the_threshold(self, data, d, zeros):
+        positive = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+        if math.gcd(*positive) != 1:
+            positive[0] = 1
+        w = Weight(tuple(positive) + (0,) * zeros)
+        # Aim at a weight in d - 3 .. d + 3: the first positive coordinates
+        # at random, the last rounded down or up towards the target.
+        target = max(0, d + data.draw(st.integers(-3, 3)))
+        s = [data.draw(st.integers(0, target // a)) for a in positive[:-1]]
+        rest = max(0, target - sum(a * x for a, x in zip(positive, s)))
+        last = rest // positive[-1] + data.draw(st.integers(0, 1))
+        tail = data.draw(st.lists(st.integers(0, 4), min_size=zeros, max_size=zeros))
+        m = Monomial(tuple(s) + (last,) + tuple(tail))
+        ideal = weighted_ideal_gens(w, d)
+        assert contains_monomial(ideal, m) == (monomial_weight(w, m) >= d)
 
 
 class TestColonAndSaturate:

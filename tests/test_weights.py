@@ -148,6 +148,17 @@ class TestWeightedIdealGens:
     @example([1], 0, 12)
     @example([2, 3], 2, 7)
     @example([1, 4], 1, 0)
+    # One positive entry, and two (the two-coordinate step with no
+    # recursion above it), with zero tails.
+    @example([3], 2, 10)
+    @example([5], 1, 1)
+    @example([2, 5], 2, 16)
+    @example([4, 3], 1, 13)
+    # Four and five positive entries, beyond what the strategy draws.
+    @example([1, 2, 3, 5], 0, 9)
+    @example([3, 1, 4, 2], 1, 8)
+    @example([2, 3, 1, 4, 5], 0, 5)
+    @example([1, 1, 2, 2, 3], 1, 4)
     @settings(max_examples=100, deadline=None)
     def test_generators_match_box_oracle_in_grlex_order(self, positive, zeros, d):
         if math.gcd(*positive) != 1:
