@@ -16,7 +16,7 @@ can be shared freely (including across threads).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -122,8 +122,11 @@ class Polynomial:
             if c == 0:
                 raise InvalidArgumentError("zero coefficient stored in a polynomial term")
             e = m.exponents
-            by_exps.setdefault(e, m)
-            sums[e] = sums.get(e, 0) + Fraction(c)
+            if e in sums:
+                sums[e] += Fraction(c)
+            else:
+                by_exps[e] = m
+                sums[e] = Fraction(c)
         kept = _grlex(e for e, c in sums.items() if c)
         object.__setattr__(self, "terms", tuple((by_exps[e], sums[e]) for e in kept))
 
@@ -365,16 +368,47 @@ def _power_verdict(
     return EqualityVerdict()
 
 
+# Tuples per degree, on average, from which ``_has_divisor`` bisects each
+# degree block instead of scanning it.
+_DENSE = 16
+
+
+def _minus_first(f: tuple[int, ...]) -> int:
+    return -f[0]
+
+
 def _has_divisor(exps: Sequence[tuple[int, ...]], e: tuple[int, ...]) -> bool:
     """True iff some tuple of ``exps``, which are in grlex order, divides ``e``.
 
-    A divisor has degree at most that of ``e``, so the scan covers only the
-    tuples up to that degree.  It walks them downward from there: a member
-    just above a threshold has its divisors a few degrees below it, so most
-    scans that succeed stop early.  The tests run as C-level ``map``s.
+    A divisor has degree at most D = deg(e), so only the tuples up to that
+    degree can divide, and they are taken from degree D downward: a member
+    just above a threshold has its divisors a few degrees below it.  Inside
+    the block of one degree delta the first exponents do not increase, and
+    a divisor f of e has e_1 - (D - delta) <= f_1 <= e_1.  Proof: f_1 <= e_1
+    as f divides e, and the other exponents of f sum to delta - f_1 but are
+    bounded by those of e, which sum to D - e_1.  Where the tuples up to
+    degree D number at least ``_DENSE`` per degree on average, two
+    bisections cut each block down to that window and only the window is
+    tested.  Short or degree-sparse lists (saturation checks, two-variable
+    thresholds) are scanned whole, since there a bisection costs more than
+    the few tuples it skips.  The tests run as C-level ``map``s.
     """
-    stop = bisect_right(exps, sum(e), key=sum)
-    return any(map(all, map(map, repeat(le), reversed(exps[:stop]), repeat(e))))
+    top = sum(e)
+    stop = bisect_right(exps, top, key=sum)
+    if stop < _DENSE or stop < _DENSE * (top - sum(exps[0]) + 1):
+        return any(map(all, map(map, repeat(le), reversed(exps[:stop]), repeat(e))))
+    e1 = e[0]
+    hi = stop
+    while hi:
+        delta = sum(exps[hi - 1])
+        lo = bisect_left(exps, delta, 0, hi, key=sum)
+        start = bisect_left(exps, -e1, lo, hi, key=_minus_first)
+        floor = e1 - (top - delta)
+        end = bisect_right(exps, -floor, start, hi, key=_minus_first) if floor > 0 else hi
+        if any(map(all, map(map, repeat(le), exps[start:end], repeat(e)))):
+            return True
+        hi = lo
+    return False
 
 
 def contains_monomial(ideal: MonomialIdeal, m: Monomial) -> bool:

@@ -14,6 +14,7 @@ ideal.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -107,7 +108,7 @@ def sigma_wt(w: Weight, f: Polynomial) -> int:
 
 
 def _minimal_generator_exponents(entries: tuple[int, ...], d: int) -> list[tuple[int, ...]]:
-    """Exponent vectors of the minimal monomials of weighted degree >= d, in lex order.
+    """Exponent vectors of the minimal monomials of weighted degree >= d, in grlex order.
 
     Accepts any entry vector shaped (positives..., zeros...); no gcd
     normalization is assumed, so callers may pass raw thresholds.  A vector
@@ -118,7 +119,12 @@ def _minimal_generator_exponents(entries: tuple[int, ...], d: int) -> list[tuple
     s_i <= ceil(d / a_i).  The last two positive coordinates take one loop:
     below the threshold only the smallest last exponent reaching d can be
     minimal, so each value of the second to last yields at most one vector,
-    with its last exponent in closed form.
+    with its last exponent in closed form.  The search meets the vectors in
+    lex order and knows the degree of each, so each goes into the list for
+    its degree, and those lists, each reversed and joined in degree order,
+    are grlex order.  Two positive entries take one loop over the heavier
+    one instead, whose degree never rises from one step to the next, so a
+    reversal or one stable sort gives grlex order with no list per degree.
     """
     n = len(entries)
     k = n - entries.count(0)
@@ -130,14 +136,34 @@ def _minimal_generator_exponents(entries: tuple[int, ...], d: int) -> list[tuple
     if k == 1:
         return [(-(-d // a_last),) + entries[1:]]
     a = entries[:k]
+    if k == 2:
+        # Loop over the heavier variable and close with the least exponent
+        # on the lighter one: every step is minimal, since dropping either
+        # variable loses at least the lighter weight, and the degree never
+        # rises from one step to the next.  Ties come in ascending order of
+        # the loop variable, which grlex wants for x2 and reversed for x1.
+        a1, a2 = a
+        tail = entries[2:]
+        if a1 >= a2:
+            out = [(t, -((t * a1 - d) // a2)) + tail for t in range(-(-d // a1))]
+            out.append((-(-d // a1), 0) + tail)
+            out.reverse()
+        else:
+            out = [(-((u * a2 - d) // a1), u) + tail for u in range(-(-d // a2))]
+            out.append((0, -(-d // a2)) + tail)
+            out.sort(key=sum)
+        return out
     last = k - 1
-    out: list[tuple[int, ...]] = []
     s = [0] * n
     unbounded = d + max(a) + 1  # sentinel above any reachable cap
+    # Keyed by the degrees that occur: a list per possible degree would be
+    # ceil(d / min(a)) lists, far more than the vectors for weights like
+    # (10000, 10001, 1).
+    by_degree: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
 
-    def rec(i: int, acc: int, cap: int) -> None:
+    def rec(i: int, acc: int, cap: int, deg: int) -> None:
         # cap = d + min weight among variables already present (sentinel if
-        # none); acc < d on entry.
+        # none), deg = their degree; acc < d on entry.
         ai = a[i]
         if i == last - 1:
             # For each s_i = t whose weight stays below d, s_last is the
@@ -146,7 +172,7 @@ def _minimal_generator_exponents(entries: tuple[int, ...], d: int) -> list[tuple
             u = -((acc - d) // a_last)
             if acc + u * a_last < cap:
                 s[last] = u
-                out.append(tuple(s))
+                by_degree[deg + u].append(tuple(s))
             new_cap = min(cap, d + ai)
             t = 0
             for weight in range(acc + ai, d, ai):
@@ -155,40 +181,40 @@ def _minimal_generator_exponents(entries: tuple[int, ...], d: int) -> list[tuple
                 if weight + u * a_last < new_cap:
                     s[i] = t
                     s[last] = u
-                    out.append(tuple(s))
+                    by_degree[deg + t + u].append(tuple(s))
             # The first s_i reaching d alone weighs below d + a_i.
             t = -((acc - d) // ai)
             if acc + t * ai < cap:
                 s[i] = t
                 s[last] = 0
-                out.append(tuple(s))
+                by_degree[deg + t].append(tuple(s))
             s[i] = s[last] = 0
             return
-        rec(i + 1, acc, cap)
+        rec(i + 1, acc, cap, deg)
         new_cap = min(cap, d + ai)
         weight = acc + ai
         t = 1
         while weight < new_cap:
             s[i] = t
             if weight >= d:
-                out.append(tuple(s))  # any extension loses minimality
+                by_degree[deg + t].append(tuple(s))  # any extension loses minimality
                 break
-            rec(i + 1, weight, new_cap)
+            rec(i + 1, weight, new_cap, deg + t)
             t += 1
             weight += ai
         s[i] = 0
 
-    rec(0, 0, unbounded)
+    rec(0, 0, unbounded, 0)
+    out = []
+    for _, bucket in sorted(by_degree.items()):
+        bucket.reverse()
+        out += bucket
     return out
 
 
 @lru_cache(maxsize=256)
 def _minimal_ideal(entries: tuple[int, ...], d: int) -> MonomialIdeal:
-    exps = _minimal_generator_exponents(entries, d)
-    # Lex order reversed, then a stable sort by degree, is grlex order.
-    exps.reverse()
-    exps.sort(key=sum)
-    return _ideal_from_grlex(len(entries), exps)
+    return _ideal_from_grlex(len(entries), _minimal_generator_exponents(entries, d))
 
 
 def weighted_ideal_gens(w: Weight, d: int) -> MonomialIdeal:

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import math
 import pickle
 import random
 import sys
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
+from operator import add
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_has_power_in, brute_saturate, grlex_key, ideals_equal
 from strategies import exponent_tuples, ideals, monomials, weights
+from wblowup import monomials as monomials_module
 from wblowup.charts import pushforward_membership
 from wblowup.errors import DimensionMismatchError, InvalidArgumentError, ZeroPolynomialError
 from wblowup.monomials import (
@@ -23,6 +27,7 @@ from wblowup.monomials import (
     Monomial,
     MonomialIdeal,
     Polynomial,
+    _DENSE,
     _grlex,
     _has_divisor,
     colon,
@@ -291,8 +296,44 @@ def below_degree(e: tuple[int, ...], degree: int) -> tuple[int, ...]:
     return tuple(e)
 
 
+def forward_scan(exps, e) -> bool:
+    """Whether some tuple of ``exps`` divides ``e``, testing every tuple."""
+    return any(all(g <= x for g, x in zip(f, e)) for f in exps)
+
+
+@st.composite
+def window_probes(draw, f: tuple[int, ...], degree: int) -> list[tuple[int, ...]]:
+    """Probes of degree ``degree`` at the edges of ``f``'s first-exponent window.
+
+    A divisor f of a probe e has e_1 - (deg e - deg f) <= f_1 <= e_1.  The
+    probes put f_1 on each edge, and one step outside each where the
+    ambient dimension allows it (then f does not divide e).
+    """
+    n, gap = len(f), degree - sum(f)
+    probes = [(f[0] + gap,) + f[1:]]  # f_1 = e_1 - (D - delta)
+    if n > 1:
+        rest = draw(tuples_of_degree(n - 1, gap))
+        probes.append((f[0],) + tuple(map(add, f[1:], rest)))  # f_1 = e_1
+        if f[0]:
+            rest = draw(tuples_of_degree(n - 1, gap + 1))
+            probes.append((f[0] - 1,) + tuple(map(add, f[1:], rest)))  # f_1 = e_1 + 1
+        j = draw(st.sampled_from([i for i in range(1, n) if f[i]] or [None]))
+        if j is not None:
+            e = [f[0] + gap + 1, *f[1:]]  # f_1 = e_1 - (D - delta) - 1
+            e[j] -= 1
+            probes.append(tuple(e))
+    elif f[0]:
+        probes.append((f[0] - 1,))
+    return probes
+
+
+def counting_walks():
+    """Patch the key the block walk bisects by, to count its calls."""
+    return patch.object(monomials_module, "_minus_first", wraps=monomials_module._minus_first)
+
+
 class TestDivisorScan:
-    """``_has_divisor`` scans downward from the probe's degree in grlex order."""
+    """``_has_divisor`` against a scan of every tuple, on both of its paths."""
 
     @given(st.data(), st.integers(1, 4), st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -312,8 +353,45 @@ class TestDivisorScan:
                 probes.append(below_degree(probe, lowest))  # below every tuple
             probes.append(data.draw(st.sampled_from(exps)))
         for e in probes:
-            forward = any(all(g <= x for g, x in zip(f, e)) for f in exps)
-            assert _has_divisor(exps, e) == forward
+            assert _has_divisor(exps, e) == forward_scan(exps, e)
+
+    @given(st.data(), st.integers(2, 4), st.integers(2, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_block_walk_matches_a_forward_scan(self, data, n, blocks):
+        # Consecutive degrees holding _DENSE or more tuples each (40 to 200
+        # in all), so every probe of a degree in their range is walked.
+        low = next(g for g in range(100) if math.comb(g + n - 1, n - 1) >= 2 * _DENSE)
+        low += data.draw(st.integers(0, 3))
+        drawn = []
+        for degree in range(low, low + blocks):
+            every = [t for t in itertools.product(range(degree + 1), repeat=n) if sum(t) == degree]
+            shuffled = data.draw(st.permutations(every))
+            drawn += shuffled[: data.draw(st.integers(_DENSE, min(len(every), 40)))]
+        exps = tuple(_grlex(drawn))
+        high = low + blocks - 1
+        f = data.draw(st.sampled_from(exps))
+        probes = data.draw(window_probes(f, data.draw(st.integers(sum(f), high))))
+        probes.append(data.draw(tuples_of_degree(n, data.draw(st.integers(low, high)))))
+        for e in probes:
+            with counting_walks() as key:
+                assert _has_divisor(exps, e) == forward_scan(exps, e)
+            assert key.called
+
+    @given(st.data(), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_degree_sparse_lists_take_the_plain_scan(self, data, n):
+        # One to three tuples per degree over a long run of degrees.
+        drawn = []
+        for degree in range(data.draw(st.integers(0, 5)), 70, data.draw(st.integers(1, 3))):
+            drawn += data.draw(st.lists(tuples_of_degree(n, degree), min_size=1, max_size=3))
+        exps = tuple(_grlex(drawn))
+        f = data.draw(st.sampled_from(exps))
+        probes = data.draw(window_probes(f, sum(f) + data.draw(st.integers(0, 6))))
+        probes.append(data.draw(exponent_tuples(n, 30)))
+        for e in probes:
+            with counting_walks() as key:
+                assert _has_divisor(exps, e) == forward_scan(exps, e)
+            assert not key.called
 
     def test_probe_below_every_generator(self):
         exps = MonomialIdeal(3, (M(1, 1, 0), M(0, 0, 2))).exponents

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,12 +26,14 @@ from wblowup.errors import (
 from wblowup.monomials import (
     Monomial,
     Polynomial,
+    _grlex,
     contains,
     contains_monomial,
     ideal_power,
 )
 from wblowup.weights import (
     Weight,
+    _minimal_generator_exponents,
     find_normality_index,
     monomial_weight,
     power_equality,
@@ -137,8 +140,41 @@ class TestWeightedIdealGens:
         assert gens == (M(5),)
 
     def test_two_entries_at_a_large_threshold(self):
-        # x1^(2j) * x2^(10000 - j) for j = 0..10000.
-        assert len(weighted_ideal_gens(Weight((1, 2)), 20000).generators) == 10001
+        # x1^(2j) * x2^(10000 - j) for j = 0..10000, in grlex order.
+        exps = weighted_ideal_gens(Weight((1, 2)), 20000).exponents
+        assert len(exps) == 10001
+        assert exps == tuple(_grlex(exps))
+
+    @pytest.mark.parametrize("k, d", [(5, 30), (8, 12)])
+    def test_all_ones_weight_in_grlex_order(self, k, d):
+        # Every monomial of degree d, C(d + k - 1, k - 1) of them (46,376 and
+        # 50,388), all in one degree list: beyond the box oracle's reach.
+        exps = weighted_ideal_gens(Weight((1,) * k), d).exponents
+        assert len(exps) == math.comb(d + k - 1, k - 1)
+        assert exps == tuple(_grlex(exps))
+
+    def test_skewed_weight_stays_near_its_output_in_memory(self):
+        # 5,151 generators whose degrees run from 100 to 10**6: a list per
+        # possible degree would take about 60 MB.
+        tracemalloc.start()
+        try:
+            exps = _minimal_generator_exponents((10000, 10001, 1), 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(exps) == 5151
+        assert exps == _grlex(exps)
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize(
+        "entries, d",
+        [((2, 4), 9), ((6, 4, 0), 13), ((2, 4, 6), 13), ((3, 6, 9, 3), 10), ((4, 2, 2, 0, 0), 7)],
+    )
+    def test_raw_entries_give_grlex_order(self, entries, d):
+        # Entries with a common factor, which Weight refuses.
+        exps = _minimal_generator_exponents(entries, d)
+        assert exps == _grlex(exps)
+        assert set(exps) == brute_box_gens(entries, d)
 
     @given(
         st.lists(st.integers(1, 6), min_size=1, max_size=3),
@@ -159,6 +195,12 @@ class TestWeightedIdealGens:
     @example([3, 1, 4, 2], 1, 8)
     @example([2, 3, 1, 4, 5], 0, 5)
     @example([1, 1, 2, 2, 3], 1, 4)
+    # Three to five positive entries with zero tails: lists per degree.
+    @example([2, 3, 5], 2, 14)
+    @example([1, 1, 1], 1, 6)
+    @example([4, 1, 3, 2], 2, 9)
+    @example([1, 1, 1, 1, 1], 2, 4)
+    @example([5, 2, 1, 3, 4], 1, 6)
     @settings(max_examples=100, deadline=None)
     def test_generators_match_box_oracle_in_grlex_order(self, positive, zeros, d):
         if math.gcd(*positive) != 1:
