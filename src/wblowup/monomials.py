@@ -259,10 +259,12 @@ def _grlex(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 def _grlex_antichain(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The divisibility-minimal tuples among the distinct ``exps``, in grlex order."""
-    # Any divisor of e is ranked before e in grlex order, so one pass works.
+    # Any divisor of e is ranked before e in grlex order, so one pass works:
+    # e is kept when the divisor query finds no divisor among the tuples kept
+    # so far, which are a grlex-ordered list as the query requires.
     kept: list[tuple[int, ...]] = []
     for e in _grlex(exps):
-        if not any(all(map(le, f, e)) for f in kept):
+        if not _has_divisor(kept, e):
             kept.append(e)
     return kept
 
@@ -316,7 +318,10 @@ def _power_verdict(
     the t-th power when some base generator h divides e with e / h in the
     (t-1)-th power (for t = 1, when some h divides e).  A rest weighing less
     than (t-1)*floor is cut, as no product of t-1 base generators weighs
-    less, and answers are memoised on (e, t) for the one call.  With
+    less, and answers are memoised on (e, t) for the one call.  The last
+    factor (and the only one, for t = 1) is tested by the divisor query
+    ``_has_divisor`` on the base, which stays in grlex order when cut to
+    the first len(a) variables.  With
     ``threshold`` the base is every minimal monomial of weight >= L for some
     L, and the last factor is not tested: a rest that passes the cut weighs
     at least floor >= L, so it is a member.  The cut drops no member either:
@@ -324,19 +329,19 @@ def _power_verdict(
     generator divides it, and so its weight is at least floor.
     """
     k = len(a)
-    factors = [(h[:k], sum(map(mul, a, h))) for h in base]
+    heads = [h[:k] for h in base]
+    factors = [(h, sum(map(mul, a, h))) for h in heads]
     floor = min(weight for _, weight in factors)
     memo: dict[tuple[tuple[int, ...], int], bool] = {}
 
-    def in_first(e: tuple[int, ...]) -> bool:
-        return any(all(map(le, h, e)) for h, _ in factors)
-
     def in_power(e: tuple[int, ...]) -> bool:
         if t == 1:
-            return in_first(e)
+            return _has_divisor(heads, e)
         # Depth first over one generator per factor.  Each frame holds a
         # monomial, its weight, its power and its untried generators; an
-        # explicit stack keeps a large t clear of the recursion limit.
+        # explicit stack keeps a large t clear of the recursion limit.  The
+        # loop lists every generator that divides and passes the weight cut,
+        # as each one starts a branch, so it is no yes/no divisor query.
         stack = [(e, sum(map(mul, a, e)), t, iter(factors))]
         while stack:
             e, weight, s, untried = stack[-1]
@@ -345,7 +350,7 @@ def _power_verdict(
                 if rest_weight < (s - 1) * floor or not all(map(le, h, e)):
                     continue
                 if s == 2:
-                    found = threshold or in_first(tuple(map(sub, e, h)))
+                    found = threshold or _has_divisor(heads, tuple(map(sub, e, h)))
                 else:
                     rest = tuple(map(sub, e, h))
                     found = memo.get((rest, s - 1))
@@ -380,30 +385,37 @@ def _minus_first(f: tuple[int, ...]) -> int:
 def _has_divisor(exps: Sequence[tuple[int, ...]], e: tuple[int, ...]) -> bool:
     """True iff some tuple of ``exps``, which are in grlex order, divides ``e``.
 
-    A divisor has degree at most D = deg(e), so only the tuples up to that
-    degree can divide, and they are taken from degree D downward: a member
-    just above a threshold has its divisors a few degrees below it.  Inside
-    the block of one degree delta the first exponents do not increase, and
-    a divisor f of e has e_1 - (D - delta) <= f_1 <= e_1.  Proof: f_1 <= e_1
-    as f divides e, and the other exponents of f sum to delta - f_1 but are
-    bounded by those of e, which sum to D - e_1.  Where the tuples up to
-    degree D number at least ``_DENSE`` per degree on average, two
-    bisections cut each block down to that window and only the window is
-    tested.  Short or degree-sparse lists (saturation checks, two-variable
-    thresholds) are scanned whole, since there a bisection costs more than
-    the few tuples it skips.  The tests run as C-level ``map``s.
+    The one divisor query: membership, minimal generating sets and the power
+    search all ask it.  A list of fewer than ``_DENSE`` tuples (most kept
+    lists of the antichain scan, saturation checks, small power bases) is
+    scanned whole, with no bisection.  In a longer list only the tuples up
+    to degree D = deg(e) can divide, and they are taken from degree D
+    downward: a member just above a threshold has its divisors a few degrees
+    below it.  Inside the block of one degree delta the first exponents do
+    not increase, and a divisor f of e has e_1 - (D - delta) <= f_1 <= e_1.
+    Proof: f_1 <= e_1 as f divides e, and the other exponents of f sum to
+    delta - f_1 but are bounded by those of e, which sum to D - e_1.  Where
+    the tuples up to degree D number at least ``_DENSE`` per degree on
+    average, two bisections cut each block down to that window and only the
+    window is tested.  Degree-sparse lists (two-variable thresholds) are
+    scanned from degree D down, since there a bisection costs more than the
+    few tuples it skips.  The scan is a plain loop, which starts faster than
+    a chain of ``map``s on a short list; the windows are tested by such a
+    chain.
     """
-    top = sum(e)
-    stop = bisect_right(exps, top, key=sum)
-    if stop < _DENSE or stop < _DENSE * (top - sum(exps[0]) + 1):
-        return any(map(all, map(map, repeat(le), reversed(exps[:stop]), repeat(e))))
-    e1 = e[0]
-    hi = stop
+    hi = len(exps)
+    if hi < _DENSE or (hi := bisect_right(exps, top := sum(e), key=sum)) < _DENSE * (
+        top - sum(exps[0]) + 1
+    ):
+        for f in reversed(exps[:hi]):
+            if all(map(le, f, e)):
+                return True
+        return False
     while hi:
         delta = sum(exps[hi - 1])
         lo = bisect_left(exps, delta, 0, hi, key=sum)
-        start = bisect_left(exps, -e1, lo, hi, key=_minus_first)
-        floor = e1 - (top - delta)
+        start = bisect_left(exps, -e[0], lo, hi, key=_minus_first)
+        floor = e[0] - (top - delta)
         end = bisect_right(exps, -floor, start, hi, key=_minus_first) if floor > 0 else hi
         if any(map(all, map(map, repeat(le), exps[start:end], repeat(e)))):
             return True
@@ -423,8 +435,7 @@ def contains(ideal: MonomialIdeal, f: Polynomial) -> bool:
     The zero polynomial belongs to every ideal, including the zero ideal.
     """
     _same_dim(ideal.ambient_dim, f.ambient_dim)
-    exps = ideal.exponents
-    return all(_has_divisor(exps, m.exponents) for m, _ in f.terms)
+    return all(_has_divisor(ideal.exponents, m.exponents) for m, _ in f.terms)
 
 
 def colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:

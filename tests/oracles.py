@@ -7,9 +7,11 @@ instead of radical membership, formed powers instead of membership
 searches (``brute_power_equality`` for thresholds,
 ``brute_compare_symbolic_power`` for symbolic powers), chart
 substitutions instead of the weighted degree
-(``brute_pushforward_membership`` over ``substitute_through_chart``), and
+(``brute_pushforward_membership`` over ``substitute_through_chart``),
 the generators of a formed radical instead of one support scan
-(``brute_as_primary``).
+(``brute_as_primary``), and a pairwise divisibility scan instead of the
+degree-cut divisor query for minimal generating sets
+(``brute_antichain``).
 They are deliberately slow and simple.  ``slicing_decomposition_check``
 is a structural identity rather than a second route: it cuts a threshold
 ideal along one variable and compares both pieces with smaller thresholds.
@@ -32,6 +34,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from typing import Iterable
 
 from wblowup.charts import (
     ChartDescription,
@@ -69,7 +72,7 @@ def brute_box_gens(entries: tuple[int, ...], d: int) -> set[tuple[int, ...]]:
 
     Enumerates every exponent vector with s_i <= ceil(d / a_i) over the
     positive entries, keeps those of weighted degree >= d, and filters to
-    the divisibility-minimal ones by a pairwise scan.
+    the divisibility-minimal ones by ``brute_antichain``.
     """
     n = len(entries)
     k = 0
@@ -85,17 +88,20 @@ def brute_box_gens(entries: tuple[int, ...], d: int) -> set[tuple[int, ...]]:
         for s in itertools.product(*ranges)
         if sum(a * e for a, e in zip(entries, s)) >= d
     ]
-    members.sort(key=lambda s: (sum(s), s))
+    return {t + (0,) * (n - k) for t in brute_antichain(members)}
+
+
+def brute_antichain(exps: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The divisibility-minimal tuples among ``exps``, by a pairwise scan.
+
+    Sorted by degree, each tuple comes after all its other divisors, so it
+    is tested against every tuple kept so far, with no cut of any kind.
+    """
     kept: list[tuple[int, ...]] = []
-    for s in members:
-        minimal = True
-        for t in kept:
-            if all(x <= y for x, y in zip(t, s)):
-                minimal = False
-                break
-        if minimal:
+    for s in sorted(set(exps), key=lambda s: (sum(s), s)):
+        if not any(all(x <= y for x, y in zip(t, s)) for t in kept):
             kept.append(s)
-    return {t + (0,) * (n - k) for t in kept}
+    return set(kept)
 
 
 def brute_saturate(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:

@@ -8,6 +8,7 @@ import math
 import pickle
 import random
 import sys
+from bisect import bisect_right
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from operator import add
@@ -17,7 +18,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_has_power_in, brute_saturate, grlex_key, ideals_equal
+from oracles import (
+    brute_antichain,
+    brute_has_power_in,
+    brute_saturate,
+    grlex_key,
+    ideals_equal,
+)
 from strategies import exponent_tuples, ideals, monomials, weights
 from wblowup import monomials as monomials_module
 from wblowup.charts import pushforward_membership
@@ -29,6 +36,7 @@ from wblowup.monomials import (
     Polynomial,
     _DENSE,
     _grlex,
+    _grlex_antichain,
     _has_divisor,
     colon,
     contains,
@@ -235,6 +243,12 @@ class TestProductAndPower:
         assert ideal_power(I(M(1, 0)), 0) == MonomialIdeal.unit(2)
         with pytest.raises(ValueError):
             ideal_power(I(M(1, 0)), -1)
+        # Every product has degree 30, the equal-degree worst case of the
+        # antichain scan: C(33, 3) = 5,456 generators.
+        ones = Weight((1, 1, 1, 1))
+        cube = ideal_power(weighted_ideal_gens(ones, 10), 3)
+        assert cube == weighted_ideal_gens(ones, 30)
+        assert len(cube.exponents) == math.comb(33, 3)
 
     @given(st.data(), st.integers(1, 3))
     @settings(max_examples=80)
@@ -332,8 +346,30 @@ def counting_walks():
     return patch.object(monomials_module, "_minus_first", wraps=monomials_module._minus_first)
 
 
+def scan_path(exps, e) -> tuple[bool, str]:
+    """``_has_divisor(exps, e)`` and the path it took.
+
+    "short" scans a list of fewer than ``_DENSE`` tuples with no bisection,
+    "sparse" bisects to the degree of ``e`` and scans, and "walk" bisects
+    the degree blocks by first exponent.
+    """
+    with patch.object(monomials_module, "bisect_right", wraps=bisect_right) as cut:
+        with counting_walks() as key:
+            found = _has_divisor(exps, e)
+    return found, "walk" if key.called else "sparse" if cut.called else "short"
+
+
+def documented_path(exps, e) -> str:
+    """The path ``_has_divisor`` takes by its density rule, counted by hand."""
+    if len(exps) < _DENSE:
+        return "short"
+    top = sum(e)
+    below = sum(1 for f in exps if sum(f) <= top)
+    return "walk" if below and below >= _DENSE * (top - sum(exps[0]) + 1) else "sparse"
+
+
 class TestDivisorScan:
-    """``_has_divisor`` against a scan of every tuple, on both of its paths."""
+    """``_has_divisor`` against a scan of every tuple, on each of its paths."""
 
     @given(st.data(), st.integers(1, 4), st.booleans())
     @settings(max_examples=200, deadline=None)
@@ -353,7 +389,7 @@ class TestDivisorScan:
                 probes.append(below_degree(probe, lowest))  # below every tuple
             probes.append(data.draw(st.sampled_from(exps)))
         for e in probes:
-            assert _has_divisor(exps, e) == forward_scan(exps, e)
+            assert scan_path(exps, e) == (forward_scan(exps, e), "short")
 
     @given(st.data(), st.integers(2, 4), st.integers(2, 5))
     @settings(max_examples=60, deadline=None)
@@ -373,9 +409,7 @@ class TestDivisorScan:
         probes = data.draw(window_probes(f, data.draw(st.integers(sum(f), high))))
         probes.append(data.draw(tuples_of_degree(n, data.draw(st.integers(low, high)))))
         for e in probes:
-            with counting_walks() as key:
-                assert _has_divisor(exps, e) == forward_scan(exps, e)
-            assert key.called
+            assert scan_path(exps, e) == (forward_scan(exps, e), "walk")
 
     @given(st.data(), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
@@ -388,17 +422,20 @@ class TestDivisorScan:
         f = data.draw(st.sampled_from(exps))
         probes = data.draw(window_probes(f, sum(f) + data.draw(st.integers(0, 6))))
         probes.append(data.draw(exponent_tuples(n, 30)))
+        assert len(exps) >= _DENSE
         for e in probes:
-            with counting_walks() as key:
-                assert _has_divisor(exps, e) == forward_scan(exps, e)
-            assert not key.called
+            assert scan_path(exps, e) == (forward_scan(exps, e), "sparse")
 
     def test_probe_below_every_generator(self):
         exps = MonomialIdeal(3, (M(1, 1, 0), M(0, 0, 2))).exponents
-        assert not _has_divisor(exps, (0, 0, 0))
-        assert not _has_divisor(exps, (1, 0, 0))
-        assert not _has_divisor((), (0, 0, 0))
-        assert _has_divisor(MonomialIdeal.unit(3).exponents, (0, 0, 0))
+        assert scan_path(exps, (0, 0, 0)) == (False, "short")
+        assert scan_path(exps, (1, 0, 0)) == (False, "short")
+        assert scan_path((), (0, 0, 0)) == (False, "short")
+        assert scan_path(MonomialIdeal.unit(3).exponents, (0, 0, 0)) == (True, "short")
+        # A long list with every tuple above the probe's degree has nothing
+        # to walk: it is bisected to the probe's degree and found empty.
+        exps = weighted_ideal_gens(Weight((1, 1, 1)), 6).exponents
+        assert scan_path(exps, (1, 2, 2)) == (False, "sparse")
 
     @given(st.data(), st.integers(0, 30), st.integers(0, 2))
     @settings(max_examples=150, deadline=None)
@@ -417,6 +454,44 @@ class TestDivisorScan:
         m = Monomial(tuple(s) + (last,) + tuple(tail))
         ideal = weighted_ideal_gens(w, d)
         assert contains_monomial(ideal, m) == (monomial_weight(w, m) >= d)
+        path = documented_path(ideal.exponents, m.exponents)
+        assert scan_path(ideal.exponents, m.exponents) == (monomial_weight(w, m) >= d, path)
+
+
+def grlex_sorted(exps) -> list[tuple[int, ...]]:
+    return sorted(exps, key=lambda e: grlex_key(Monomial(e)))
+
+
+class TestGrlexAntichain:
+    """``_grlex_antichain``, on the divisor query, against a pairwise scan."""
+
+    @given(st.data(), st.integers(1, 4), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_pairwise_oracle(self, data, n, equal_degree):
+        if equal_degree:
+            degree = data.draw(st.integers(0, 6))
+            exps = data.draw(st.sets(tuples_of_degree(n, degree), max_size=40))
+        else:
+            exps = data.draw(st.sets(exponent_tuples(n, 5), max_size=40))
+        assert _grlex_antichain(exps) == grlex_sorted(brute_antichain(exps))
+
+    @given(st.data(), st.integers(2, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_products_reach_the_block_walk(self, data, n):
+        # Every tuple of one degree (2 * _DENSE or more of them) and a few
+        # of the next, times a few squarefree tuples: the products of least
+        # degree are all kept, so the later candidates are walked.
+        low = next(g for g in range(100) if math.comb(g + n - 1, n - 1) >= 2 * _DENSE)
+        left = [t for t in itertools.product(range(low + 1), repeat=n) if sum(t) == low]
+        left += data.draw(st.lists(tuples_of_degree(n, low + 1), max_size=10))
+        right = data.draw(st.sets(exponent_tuples(n, 1), min_size=1, max_size=4))
+        products = {tuple(map(add, g, h)) for g in left for h in right}
+        with counting_walks() as key:
+            kept = _grlex_antichain(products)
+        assert key.called
+        least = sum(kept[0])
+        assert sum(1 for e in kept if sum(e) == least) >= 2 * _DENSE
+        assert kept == grlex_sorted(brute_antichain(products))
 
 
 class TestColonAndSaturate:
