@@ -114,17 +114,28 @@ def _minimal_generator_exponents(entries: tuple[int, ...], d: int) -> list[tuple
     normalization is assumed, so callers may pass raw thresholds.  A vector
     s is minimal exactly when its weight lands in [d, d + min of the weights
     of its support), i.e. dropping any single present variable falls below
-    the threshold.  The search fixes the first k - 2 positive coordinates
-    depth first, each in ascending order, and never leaves the box
-    s_i <= ceil(d / a_i).  The last two positive coordinates take one loop:
-    below the threshold only the smallest last exponent reaching d can be
-    minimal, so each value of the second to last yields at most one vector,
-    with its last exponent in closed form.  The search meets the vectors in
-    lex order and knows the degree of each, so each goes into the list for
-    its degree, and those lists, each reversed and joined in degree order,
-    are grlex order.  Two positive entries take one loop over the heavier
-    one instead, whose degree never rises from one step to the next, so a
-    reversal or one stable sort gives grlex order with no list per degree.
+    the threshold.
+
+    With three or more positive entries the search visits the positive
+    coordinates heaviest first (a stable sort by entry), writing each
+    exponent into its own slot.  It fixes all but the last two visited
+    coordinates depth first, stepping each up until the weight reaches d,
+    where it records the vector and stops.  The last two take one loop: for
+    each value of the second to last below d, the last exponent is the
+    least one reaching d, in closed form, and the value reaching d alone
+    ends the loop.  Every leaf is minimal: its last visited present
+    coordinate, the step that reached d or the closed-form one, is its
+    lightest variable, and the vector weighs below d plus that weight.
+    Every minimal vector is a leaf: dropping its last visited present
+    variable falls below d, so each proper prefix of it in visiting order
+    weighs below d and the search walks through all of them.  Each call
+    records a vector, so the cost is at most k steps per generator.  The
+    vectors go into a list per degree, each sorted in descending lex order
+    (one linear pass when the entries are already non-increasing, as the
+    search meets them in lex order of the visited coordinates), and joined
+    in degree order: grlex order.  Two positive entries take one loop over
+    the heavier one instead, whose degree never rises from one step to the
+    next, so a reversal or one stable sort gives grlex order.
     """
     n = len(entries)
     k = n - entries.count(0)
@@ -132,17 +143,15 @@ def _minimal_generator_exponents(entries: tuple[int, ...], d: int) -> list[tuple
         return [(0,) * n]
     if k == 0:
         return []
-    a_last = entries[k - 1]
     if k == 1:
-        return [(-(-d // a_last),) + entries[1:]]
-    a = entries[:k]
+        return [(-(-d // entries[0]),) + entries[1:]]
     if k == 2:
         # Loop over the heavier variable and close with the least exponent
         # on the lighter one: every step is minimal, since dropping either
         # variable loses at least the lighter weight, and the degree never
         # rises from one step to the next.  Ties come in ascending order of
         # the loop variable, which grlex wants for x2 and reversed for x1.
-        a1, a2 = a
+        a1, a2 = entries[:2]
         tail = entries[2:]
         if a1 >= a2:
             out = [(t, -((t * a1 - d) // a2)) + tail for t in range(-(-d // a1))]
@@ -153,61 +162,46 @@ def _minimal_generator_exponents(entries: tuple[int, ...], d: int) -> list[tuple
             out.append((0, -(-d // a2)) + tail)
             out.sort(key=sum)
         return out
-    last = k - 1
+    order = sorted(range(k), key=entries.__getitem__, reverse=True)
+    pen, last = order[-2:]
+    a_pen, a_last = entries[pen], entries[last]
     s = [0] * n
-    unbounded = d + max(a) + 1  # sentinel above any reachable cap
     # Keyed by the degrees that occur: a list per possible degree would be
-    # ceil(d / min(a)) lists, far more than the vectors for weights like
+    # ceil(d / a_last) lists, far more than the vectors for weights like
     # (10000, 10001, 1).
     by_degree: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
 
-    def rec(i: int, acc: int, cap: int, deg: int) -> None:
-        # cap = d + min weight among variables already present (sentinel if
-        # none), deg = their degree; acc < d on entry.
-        ai = a[i]
-        if i == last - 1:
-            # For each s_i = t whose weight stays below d, s_last is the
-            # least u reaching d; the vector weighs below d + a_last, so only
-            # the cap can fail it (d + a_i joins the cap once t >= 1).
-            u = -((acc - d) // a_last)
-            if acc + u * a_last < cap:
-                s[last] = u
-                by_degree[deg + u].append(tuple(s))
-            new_cap = min(cap, d + ai)
+    def rec(level: int, acc: int, deg: int) -> None:
+        # acc < d is the weight of the coordinates fixed so far, deg their degree.
+        if level == k - 2:
             t = 0
-            for weight in range(acc + ai, d, ai):
-                t += 1
+            for weight in range(acc, d, a_pen):
                 u = -((weight - d) // a_last)
-                if weight + u * a_last < new_cap:
-                    s[i] = t
-                    s[last] = u
-                    by_degree[deg + t + u].append(tuple(s))
-            # The first s_i reaching d alone weighs below d + a_i.
-            t = -((acc - d) // ai)
-            if acc + t * ai < cap:
-                s[i] = t
-                s[last] = 0
-                by_degree[deg + t].append(tuple(s))
-            s[i] = s[last] = 0
+                s[pen] = t
+                s[last] = u
+                by_degree[deg + t + u].append(tuple(s))
+                t += 1
+            s[pen] = t
+            s[last] = 0
+            by_degree[deg + t].append(tuple(s))
+            s[pen] = 0
             return
-        rec(i + 1, acc, cap, deg)
-        new_cap = min(cap, d + ai)
-        weight = acc + ai
-        t = 1
-        while weight < new_cap:
+        i = order[level]
+        ai = entries[i]
+        t = 0
+        while acc < d:
             s[i] = t
-            if weight >= d:
-                by_degree[deg + t].append(tuple(s))  # any extension loses minimality
-                break
-            rec(i + 1, weight, new_cap, deg + t)
+            rec(level + 1, acc, deg + t)
             t += 1
-            weight += ai
+            acc += ai
+        s[i] = t
+        by_degree[deg + t].append(tuple(s))  # any extension loses minimality
         s[i] = 0
 
-    rec(0, 0, unbounded, 0)
+    rec(0, 0, 0)
     out = []
     for _, bucket in sorted(by_degree.items()):
-        bucket.reverse()
+        bucket.sort(reverse=True)
         out += bucket
     return out
 

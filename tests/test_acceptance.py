@@ -1,4 +1,4 @@
-"""Acceptance gate: eight timed end-to-end criteria.
+"""Acceptance gate: nine timed end-to-end criteria.
 
 Each test prints one pass/fail line (bypassing capture) with its elapsed
 time and budget, then asserts both the verdict and the budget.  Everything
@@ -35,6 +35,7 @@ from wblowup.monomials import (
 from wblowup.symbolic import as_primary, symbolic_equals_ordinary, symbolic_power
 from wblowup.weights import (
     Weight,
+    _minimal_generator_exponents,
     monomial_weight,
     power_equality,
     sigma_wt,
@@ -261,3 +262,22 @@ def test_criterion_8_generator_enumeration_oracle(capsys):
         time.perf_counter() - start,
         60.0,
     )
+
+
+def test_criterion_9_entry_order_keeps_enumeration_cost(capsys):
+    """Permuting a skewed weight permutes its threshold generators, each order in bounded time."""
+    failures = []
+    slowest = 0.0
+    heaviest_first = None
+    for entries in ((1, 10000, 10001), (10001, 1, 10000), (10000, 10001, 1)):
+        # The uncached kernel, so no earlier query can have paid for this one.
+        start = time.perf_counter()
+        exps = _minimal_generator_exponents(entries, 10**6)
+        slowest = max(slowest, time.perf_counter() - start)
+        keys = [(sum(e), tuple(-x for x in e)) for e in exps]
+        perm = sorted(range(3), key=entries.__getitem__, reverse=True)
+        permuted = {tuple(e[i] for i in perm) for e in exps}
+        heaviest_first = heaviest_first or permuted
+        if len(exps) != 5151 or keys != sorted(set(keys)) or permuted != heaviest_first:
+            failures.append(entries)
+    _report(capsys, "criterion 9 entry order", not failures, slowest, 1.0)

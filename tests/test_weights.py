@@ -155,16 +155,18 @@ class TestWeightedIdealGens:
 
     def test_skewed_weight_stays_near_its_output_in_memory(self):
         # 5,151 generators whose degrees run from 100 to 10**6: a list per
-        # possible degree would take about 60 MB.
-        tracemalloc.start()
-        try:
-            exps = _minimal_generator_exponents((10000, 10001, 1), 10**6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(exps) == 5151
-        assert exps == _grlex(exps)
-        assert peak < 8 * 2**20
+        # possible degree would take about 60 MB.  The light variable comes
+        # last or first; the search visits the heavy ones first either way.
+        for entries in ((10000, 10001, 1), (1, 10000, 10001)):
+            tracemalloc.start()
+            try:
+                exps = _minimal_generator_exponents(entries, 10**6)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(exps) == 5151
+            assert exps == _grlex(exps)
+            assert peak < 8 * 2**20
 
     @pytest.mark.parametrize(
         "entries, d",
@@ -201,6 +203,13 @@ class TestWeightedIdealGens:
     @example([4, 1, 3, 2], 2, 9)
     @example([1, 1, 1, 1, 1], 2, 4)
     @example([5, 2, 1, 3, 4], 1, 6)
+    # Tied entries and the lightest entry not last: the search visits the
+    # coordinates heaviest first and puts each exponent back in its slot.
+    @example([5, 1, 5], 0, 16)
+    @example([1, 3, 3, 2], 2, 11)
+    @example([2, 2, 1, 2], 1, 9)
+    @example([1, 4, 4], 2, 13)
+    @example([3, 1, 2, 3, 1], 0, 7)
     @settings(max_examples=100, deadline=None)
     def test_generators_match_box_oracle_in_grlex_order(self, positive, zeros, d):
         if math.gcd(*positive) != 1:
