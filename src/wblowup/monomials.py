@@ -19,8 +19,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import add, le, mul, sub
+from itertools import islice, repeat
+from operator import add, itemgetter, le, mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import DimensionMismatchError, InvalidArgumentError
@@ -301,6 +301,10 @@ def ideal_power(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
     return acc
 
 
+# The weight of a (generator, weight) factor of ``_power_verdict``.
+_weight_of = itemgetter(1)
+
+
 def _power_verdict(
     target: Sequence[tuple[int, ...]],
     base: Sequence[tuple[int, ...]],
@@ -318,36 +322,42 @@ def _power_verdict(
     the t-th power when some base generator h divides e with e / h in the
     (t-1)-th power (for t = 1, when some h divides e).  A rest weighing less
     than (t-1)*floor is cut, as no product of t-1 base generators weighs
-    less, and answers are memoised on (e, t) for the one call.  The last
-    factor (and the only one, for t = 1) is tested by the divisor query
-    ``_has_divisor`` on the base, which stays in grlex order when cut to
-    the first len(a) variables.  With
-    ``threshold`` the base is every minimal monomial of weight >= L for some
-    L, and the last factor is not tested: a rest that passes the cut weighs
-    at least floor >= L, so it is a member.  The cut drops no member either:
-    a rest of weight >= L lies in the threshold-L ideal, so some base
-    generator divides it, and so its weight is at least floor.
+    less: the generators are sorted by weight once, stably (so a degree
+    weight keeps their grlex order), and each frame tries only the prefix
+    of those light enough, found by one bisection.  Answers are memoised on
+    (e, t) for the one call.  The last factor (and the only one, for t = 1)
+    is tested by the divisor query ``_has_divisor`` on the base, which
+    stays in grlex order when cut to the first len(a) variables.  With
+    ``threshold`` the base is every minimal monomial of weight >= L for
+    some L, and the last factor is not tested: a rest that passes the cut
+    weighs at least floor >= L, so it is a member.  The cut drops no member
+    either: a rest of weight >= L lies in the threshold-L ideal, so some
+    base generator divides it, and so its weight is at least floor.
     """
     k = len(a)
     heads = [h[:k] for h in base]
     factors = [(h, sum(map(mul, a, h))) for h in heads]
-    floor = min(weight for _, weight in factors)
+    factors.sort(key=_weight_of)
+    floor = factors[0][1]
     memo: dict[tuple[tuple[int, ...], int], bool] = {}
 
     def in_power(e: tuple[int, ...]) -> bool:
         if t == 1:
             return _has_divisor(heads, e)
         # Depth first over one generator per factor.  Each frame holds a
-        # monomial, its weight, its power and its untried generators; an
-        # explicit stack keeps a large t clear of the recursion limit.  The
-        # loop lists every generator that divides and passes the weight cut,
-        # as each one starts a branch, so it is no yes/no divisor query.
-        stack = [(e, sum(map(mul, a, e)), t, iter(factors))]
+        # monomial, its weight, its power s and its untried generators: the
+        # prefix of the factors light enough to leave a rest of at least
+        # (s-1)*floor.  An explicit stack keeps a large t clear of the
+        # recursion limit.  The loop lists every untried generator that
+        # divides, as each one starts a branch, so it is no yes/no divisor
+        # query.
+        weight = sum(map(mul, a, e))
+        cut = bisect_right(factors, weight - (t - 1) * floor, key=_weight_of)
+        stack = [(e, weight, t, islice(factors, cut))]
         while stack:
             e, weight, s, untried = stack[-1]
             for h, h_weight in untried:
-                rest_weight = weight - h_weight
-                if rest_weight < (s - 1) * floor or not all(map(le, h, e)):
+                if not all(map(le, h, e)):
                     continue
                 if s == 2:
                     found = threshold or _has_divisor(heads, tuple(map(sub, e, h)))
@@ -355,7 +365,9 @@ def _power_verdict(
                     rest = tuple(map(sub, e, h))
                     found = memo.get((rest, s - 1))
                     if found is None:
-                        stack.append((rest, rest_weight, s - 1, iter(factors)))
+                        rest_weight = weight - h_weight
+                        cut = bisect_right(factors, rest_weight - (s - 2) * floor, key=_weight_of)
+                        stack.append((rest, rest_weight, s - 1, islice(factors, cut)))
                         break
                 if found:
                     # Every monomial on the stack is a member through this one.

@@ -17,6 +17,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Optional
 
 from .errors import InvalidArgumentError, InvalidWeightError, ZeroPolynomialError
@@ -211,13 +212,27 @@ def _minimal_ideal(entries: tuple[int, ...], d: int) -> MonomialIdeal:
     return _ideal_from_grlex(len(entries), _minimal_generator_exponents(entries, d))
 
 
+def _integer(value: int, name: str) -> int:
+    """``value`` as an int, refusing floats, fractions and strings.
+
+    Checked before any cache lookup: 4.0 == 4 in an ``lru_cache`` key, so
+    a float threshold would otherwise store its answer for the int one.
+    """
+    try:
+        return index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+
+
 def weighted_ideal_gens(w: Weight, d: int) -> MonomialIdeal:
     """Minimal generators of the ideal of weighted degree >= d.
 
     Threshold 0 gives the unit ideal.  Generators only involve variables
     with positive weight: a zero-weight variable can always be dropped from
-    a generator without changing its weighted degree.
+    a generator without changing its weighted degree.  The threshold must
+    be an integer.
     """
+    d = _integer(d, "threshold")
     if d < 0:
         raise InvalidArgumentError(f"threshold must be non-negative, got {d}")
     return _minimal_ideal(w.entries, d)
@@ -231,36 +246,58 @@ def power_equality(w: Weight, L: int, d: int) -> EqualityVerdict:
     is decided without forming the power, by the membership search shared
     with the symbolic powers (``monomials._power_verdict``), with the weight
     as its linear weight.  Branches are cut below t times the least weight
-    of a generator of the threshold-L ideal, and the search takes its last
-    factor for granted once the rest passes that cut, because the
+    of a generator of the threshold-L ideal (the generators are tried
+    lightest first, so each cut is one bisection), and the search takes its
+    last factor for granted once the rest passes that cut, because the
     threshold-L ideal holds every monomial of weight >= L; for a general
     ideal it tests that factor by divisibility.  The generators of the
     scaled-threshold ideal are walked in grlex order, so on NOT_EQUAL the
     witness is the first one the power misses.
+
+    L and d must be positive integers.  Past those checks and the d = 1
+    shortcut, verdicts are cached for the process per (weight entries, L,
+    d), so a point that ``find_normality_index`` walked is answered again
+    without a search.
     """
+    L = _integer(L, "threshold L")
+    d = _integer(d, "power exponent")
     if L < 1:
         raise InvalidArgumentError(f"threshold L must be positive, got {L}")
     if d < 1:
         raise InvalidArgumentError(f"power exponent must be positive, got {d}")
     if d == 1:
         return EqualityVerdict()
+    return _power_equality(w.entries, L, d)
+
+
+# The normality benchmark asks about 280 distinct (entries, L, d) per pass,
+# most of them twice: once inside a find and once on their own.  512 holds
+# a pass with room.  The command line asks one point or one find per
+# process, so it gains nothing.  A verdict is a few tuples.
+@lru_cache(maxsize=512)
+def _power_equality(entries: tuple[int, ...], L: int, d: int) -> EqualityVerdict:
     # Generators involve only the positive-weight variables.
-    base = weighted_ideal_gens(w, L).exponents
-    target = weighted_ideal_gens(w, d * L).exponents
-    return _power_verdict(target, base, w.nonzero, d, threshold=True)
+    base = _minimal_ideal(entries, L).exponents
+    target = _minimal_ideal(entries, d * L).exponents
+    nonzero = entries[: len(entries) - entries.count(0)]
+    return _power_verdict(target, base, nonzero, d, threshold=True)
 
 
 def find_normality_index(w: Weight, d_max: int, L_max: int) -> Optional[int]:
     """Smallest L <= L_max whose powers match every scaled threshold up to d_max.
 
     Returns None when no L in range is certified.  The certificate only
-    covers exponents 2..d_max; exponent 1 is trivially fine.
+    covers exponents 2..d_max; exponent 1 is trivially fine.  Both bounds
+    must be integers.  The verdicts come from the cache ``power_equality``
+    reads, so the points walked here are not searched twice.
     """
+    d_max = _integer(d_max, "d_max")
+    L_max = _integer(L_max, "L_max")
     if d_max < 2:
         raise InvalidArgumentError(f"d_max must be at least 2, got {d_max}")
     if L_max < 1:
         raise InvalidArgumentError(f"L_max must be positive, got {L_max}")
     for L in range(1, L_max + 1):
-        if all(power_equality(w, L, d).equal for d in range(2, d_max + 1)):
+        if all(_power_equality(w.entries, L, d).equal for d in range(2, d_max + 1)):
             return L
     return None

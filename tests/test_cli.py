@@ -1154,6 +1154,30 @@ class TestDocumentsAgainstOracles:
         base = minimalize(map(Monomial, brute_box_gens(w.entries, L)), w.n)
         assert not contains_monomial(ideal_power(base, d), g)
 
+    @given(st.data(), st.integers(2, 3), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_normality_find(self, data, d_max, L_max):
+        # The same small weights as above, scanned in full by the oracle.
+        entries = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        if math.gcd(*entries) != 1:
+            entries[0] = 1
+        w = Weight(tuple(entries) + (0,) * data.draw(st.integers(0, 1)))
+        argv = ["--d-max", str(d_max), "--L-max", str(L_max)]
+        code, doc = run_json("normality", *weight_args(w), *argv)
+        assert code == 0
+        expected = next(
+            (
+                L
+                for L in range(1, L_max + 1)
+                if all(brute_power_equality(w, L, d).equal for d in range(2, d_max + 1))
+            ),
+            None,
+        )
+        inputs = {"weight": list(w.entries), "n": w.n, "d_max": d_max, "L_max": L_max}
+        assert doc["inputs"] == inputs
+        assert doc["result"] == {"mode": "find", "normality_index": expected}
+        assert doc["witnesses"] == []
+
     @given(st.data(), st.integers(1, 4), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
     def test_symbolic(self, data, n, t):

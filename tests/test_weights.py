@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,6 +35,8 @@ from wblowup.monomials import (
 from wblowup.weights import (
     Weight,
     _minimal_generator_exponents,
+    _minimal_ideal,
+    _power_equality,
     find_normality_index,
     monomial_weight,
     power_equality,
@@ -44,6 +47,15 @@ from wblowup.weights import (
 
 def M(*exps: int) -> Monomial:
     return Monomial(tuple(exps))
+
+
+def uncached_power_equality(w: Weight, L: int, d: int):
+    """The power search itself, past the per-process verdict cache."""
+    return _power_equality.__wrapped__(w.entries, L, d)
+
+
+# Neither a float, a fraction nor a string is an integer threshold.
+NON_INTEGERS = [4.0, Fraction(4), "4"]
 
 
 class TestWeight:
@@ -134,6 +146,23 @@ class TestWeightedIdealGens:
     def test_negative_threshold_rejected(self):
         with pytest.raises(InvalidArgumentError):
             weighted_ideal_gens(Weight((1, 2)), -1)
+
+    @pytest.mark.parametrize("d", NON_INTEGERS)
+    @pytest.mark.parametrize("entries", [(1, 0), (1, 2), (1, 2, 3)])
+    def test_non_integer_threshold_rejected(self, entries, d):
+        with pytest.raises(InvalidArgumentError, match="threshold must be an integer"):
+            weighted_ideal_gens(Weight(entries), d)
+
+    def test_float_threshold_leaves_the_cache_clean(self):
+        # 4.0 == 4 in a cache key: a float answered first would be handed
+        # back for the int.
+        _minimal_ideal.cache_clear()
+        w = Weight((1, 0))
+        with pytest.raises(InvalidArgumentError):
+            weighted_ideal_gens(w, 4.0)
+        exps = weighted_ideal_gens(w, 4).exponents
+        assert exps == ((4, 0),)
+        assert all(type(s) is int for e in exps for s in e)
 
     def test_single_variable(self):
         gens = weighted_ideal_gens(Weight((1,)), 5).generators
@@ -286,10 +315,32 @@ class TestPowerEquality:
 
     def test_argument_validation(self):
         w = Weight((1, 2))
-        with pytest.raises(InvalidArgumentError):
-            power_equality(w, 0, 2)
-        with pytest.raises(InvalidArgumentError):
-            power_equality(w, 2, 0)
+        # Asked again, a refused point is refused again: no cache holds it.
+        for _ in range(3):
+            with pytest.raises(InvalidArgumentError):
+                power_equality(w, 0, 2)
+            with pytest.raises(InvalidArgumentError):
+                power_equality(w, 2, 0)
+
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    def test_non_integer_arguments_rejected(self, value):
+        for w in (Weight((1, 0)), Weight((1, 2))):
+            with pytest.raises(InvalidArgumentError, match="threshold L must be an integer"):
+                power_equality(w, value, 2)
+            with pytest.raises(InvalidArgumentError, match="power exponent must be an integer"):
+                power_equality(w, 2, value)
+
+    def test_float_arguments_leave_the_caches_clean(self):
+        _power_equality.cache_clear()
+        _minimal_ideal.cache_clear()
+        w = Weight((1, 1, 3))
+        for L, d in [(1.0, 2), (1, 2.0)]:
+            with pytest.raises(InvalidArgumentError):
+                power_equality(w, L, d)
+        assert _power_equality.cache_info().currsize == 0
+        verdict = power_equality(w, 1, 2)
+        assert verdict == uncached_power_equality(w, 1, 2) == brute_power_equality(w, 1, 2)
+        assert all(type(s) is int for s in verdict.witness.exponents)
 
     def test_uniform_weights_always_equal(self):
         w = Weight((1, 1, 1))
@@ -309,7 +360,36 @@ class TestPowerEquality:
         # so the search cuts below t times that least weight, not t*L.
         w = Weight(entries)
         for d in range(2, 5):
-            assert power_equality(w, L, d) == brute_power_equality(w, L, d), d
+            expected = brute_power_equality(w, L, d)
+            assert uncached_power_equality(w, L, d) == expected, d
+            assert power_equality(w, L, d) == expected, d
+
+    @pytest.mark.parametrize("entries", [(1, 5, 2), (5, 1, 3), (3, 1, 2)])
+    @pytest.mark.parametrize("zeros", [0, 1])
+    def test_weight_order_differs_from_grlex_order(self, entries, zeros):
+        # The search tries factors lightest first, which is not their grlex
+        # order here, and cuts each frame by one bisection of their weights;
+        # d = 4 reaches that cut three frames deep.
+        w = Weight(entries + (0,) * zeros)
+        for L, d in itertools.product(range(1, 7), range(2, 5)):
+            expected = brute_power_equality(w, L, d)
+            assert uncached_power_equality(w, L, d) == expected, (L, d)
+            assert power_equality(w, L, d) == expected, (L, d)
+
+    @pytest.mark.parametrize(
+        "entries, L, equal_up_to, last_d, witness",
+        [((2, 3, 5), 20, 2, 5, None), ((4, 5), 4, 4, 5, (0, 4))],
+    )
+    def test_equal_at_small_exponents_only(self, entries, L, equal_up_to, last_d, witness):
+        # A finite d_max certifies nothing above it: (2, 3, 5) at L = 20
+        # fails from d = 3 on, (4, 5) at L = 4 first at d = 5.
+        w = Weight(entries)
+        for d in range(2, last_d + 1):
+            for verdict in (power_equality(w, L, d), uncached_power_equality(w, L, d)):
+                assert verdict.equal == (d <= equal_up_to), d
+        if witness is not None:
+            assert power_equality(w, L, last_d).witness == Monomial(witness)
+            assert uncached_power_equality(w, L, last_d).witness == Monomial(witness)
 
     @given(
         st.lists(st.integers(1, 6), min_size=1, max_size=4),
@@ -322,13 +402,16 @@ class TestPowerEquality:
         if math.gcd(*positive) != 1:
             positive[0] = 1
         w = Weight(tuple(positive) + (0,) * zeros)
-        assert power_equality(w, L, d) == brute_power_equality(w, L, d)
+        expected = brute_power_equality(w, L, d)
+        assert uncached_power_equality(w, L, d) == expected
+        assert power_equality(w, L, d) == expected
 
     @given(st.data(), st.integers(1, 8), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
     def test_verdict_matches_ideal_comparison(self, data, L, d):
         w = data.draw(weights(max_dim=4, max_entry=6))
-        verdict = power_equality(w, L, d)
+        verdict = uncached_power_equality(w, L, d)
+        assert power_equality(w, L, d) == verdict
         power = ideal_power(weighted_ideal_gens(w, L), d)
         target = weighted_ideal_gens(w, d * L)
         direct = all(contains_monomial(power, g) for g in target.generators)
@@ -367,6 +450,39 @@ class TestFindNormalityIndex:
             find_normality_index(w, 1, 10)
         with pytest.raises(InvalidArgumentError):
             find_normality_index(w, 2, 0)
+
+    @pytest.mark.parametrize("value", NON_INTEGERS)
+    def test_non_integer_bounds_rejected(self, value):
+        w = Weight((1, 2))
+        with pytest.raises(InvalidArgumentError, match="d_max must be an integer"):
+            find_normality_index(w, value, 10)
+        with pytest.raises(InvalidArgumentError, match="L_max must be an integer"):
+            find_normality_index(w, 3, value)
+
+    @pytest.mark.parametrize(
+        "entries, d_max, L_max", [((2, 3, 5), 3, 33), ((1, 5, 2, 0), 4, 8), ((3, 1, 2), 3, 8)]
+    )
+    def test_points_walked_are_answered_from_the_cache(self, entries, d_max, L_max):
+        w = Weight(entries)
+        # The walk, as the find takes it: each L up to its first failing d.
+        walked = []
+        for L in range(1, L_max + 1):
+            verdicts = []
+            for d in range(2, d_max + 1):
+                verdicts.append(uncached_power_equality(w, L, d))
+                walked.append((L, d, verdicts[-1]))
+                if not verdicts[-1].equal:
+                    break
+            if all(v.equal for v in verdicts):
+                break
+        _power_equality.cache_clear()
+        index = find_normality_index(w, d_max, L_max)
+        assert index == (walked[-1][0] if walked[-1][2].equal else None)
+        assert _power_equality.cache_info().misses == len(walked)
+        for L, d, verdict in walked:
+            assert power_equality(w, L, d) == verdict, (L, d)
+        info = _power_equality.cache_info()
+        assert (info.hits, info.misses) == (len(walked), len(walked))
 
 
 class TestSlicing:
