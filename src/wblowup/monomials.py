@@ -20,8 +20,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
-from operator import add, itemgetter, le, mul, sub
-from typing import Iterable, Optional, Sequence, Union
+from operator import add, index, itemgetter, le, mul, sub
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DimensionMismatchError, InvalidArgumentError
 
@@ -45,6 +45,20 @@ __all__ = [
 def _same_dim(a: int, b: int) -> None:
     if a != b:
         raise DimensionMismatchError(f"ambient dimensions differ: {a} vs {b}")
+
+
+def _integer(value: int, name: str) -> int:
+    """``value`` as an int, refusing floats, fractions and strings.
+
+    Checked before any cache lookup or shortcut: 4.0 == 4 in an
+    ``lru_cache`` key, so a float threshold would otherwise store its answer
+    for the int one, and the symbolic EQUAL shortcut would answer a float
+    exponent that the general route cannot take.
+    """
+    try:
+        return index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,16 +271,22 @@ def _grlex(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return ordered
 
 
-def _grlex_antichain(exps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The divisibility-minimal tuples among the distinct ``exps``, in grlex order."""
-    # Any divisor of e is ranked before e in grlex order, so one pass works:
-    # e is kept when the divisor query finds no divisor among the tuples kept
-    # so far, which are a grlex-ordered list as the query requires.
+def _grlex_antichain(exps: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+    """The divisibility-minimal tuples among the distinct ``exps``, lazily, in grlex order.
+
+    Any divisor of e is ranked before e in grlex order, so one pass works:
+    e is yielded when the divisor query finds no divisor among the tuples
+    kept so far, which are a grlex-ordered list as the query requires.
+    Those tuples are distinct from e, so none of e's own degree divides it,
+    and the query is asked in its strict mode.  The sort is done at the
+    first step; each further step scans only as far as the next minimal
+    tuple, so a caller that stops early skips the rest of the scan.
+    """
     kept: list[tuple[int, ...]] = []
     for e in _grlex(exps):
-        if not _has_divisor(kept, e):
+        if not _has_divisor(kept, e, True):
             kept.append(e)
-    return kept
+            yield e
 
 
 def _ideal_from_grlex(ambient_dim: int, exps: Iterable[tuple[int, ...]]) -> MonomialIdeal:
@@ -290,7 +310,8 @@ def ideal_product(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal:
 
 
 def ideal_power(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
-    """d-th power; the 0-th power is the unit ideal."""
+    """d-th power; the 0-th power is the unit ideal.  d must be an integer."""
+    d = _integer(d, "power exponent")
     if d < 0:
         raise InvalidArgumentError("ideal powers must have non-negative exponent")
     if d == 0:
@@ -306,7 +327,7 @@ _weight_of = itemgetter(1)
 
 
 def _power_verdict(
-    target: Sequence[tuple[int, ...]],
+    target: Iterable[tuple[int, ...]],
     base: Sequence[tuple[int, ...]],
     a: Sequence[int],
     t: int,
@@ -314,9 +335,10 @@ def _power_verdict(
 ) -> EqualityVerdict:
     """Whether the generators ``target`` lie in the t-th power of (``base``).
 
-    Both are sequences of exponent tuples.  The power is never formed, and
-    ``target`` is walked in grlex order, so a NOT_EQUAL witness is the first
-    one the power misses, and the only ``Monomial`` built.  All tuples must
+    Both hold exponent tuples; ``target`` may be lazy, as it is read only
+    up to the first miss.  The power is never formed, and ``target`` is
+    walked in grlex order, so a NOT_EQUAL witness is the first one the
+    power misses, and the only ``Monomial`` built.  All tuples must
     involve only the first len(a) variables, which carry the linear weight
     ``a``; let floor be the least weight in the base.  A monomial e lies in
     the t-th power when some base generator h divides e with e / h in the
@@ -394,7 +416,9 @@ def _minus_first(f: tuple[int, ...]) -> int:
     return -f[0]
 
 
-def _has_divisor(exps: Sequence[tuple[int, ...]], e: tuple[int, ...]) -> bool:
+def _has_divisor(
+    exps: Sequence[tuple[int, ...]], e: tuple[int, ...], strict: bool = False
+) -> bool:
     """True iff some tuple of ``exps``, which are in grlex order, divides ``e``.
 
     The one divisor query: membership, minimal generating sets and the power
@@ -403,21 +427,25 @@ def _has_divisor(exps: Sequence[tuple[int, ...]], e: tuple[int, ...]) -> bool:
     scanned whole, with no bisection.  In a longer list only the tuples up
     to degree D = deg(e) can divide, and they are taken from degree D
     downward: a member just above a threshold has its divisors a few degrees
-    below it.  Inside the block of one degree delta the first exponents do
-    not increase, and a divisor f of e has e_1 - (D - delta) <= f_1 <= e_1.
-    Proof: f_1 <= e_1 as f divides e, and the other exponents of f sum to
-    delta - f_1 but are bounded by those of e, which sum to D - e_1.  Where
-    the tuples up to degree D number at least ``_DENSE`` per degree on
-    average, two bisections cut each block down to that window and only the
-    window is tested.  Degree-sparse lists (two-variable thresholds) are
-    scanned from degree D down, since there a bisection costs more than the
-    few tuples it skips.  The scan is a plain loop, which starts faster than
-    a chain of ``map``s on a short list; the windows are tested by such a
+    below it.  With ``strict`` the caller vouches that no tuple of degree D
+    divides e (the antichain scan, whose kept tuples are distinct from e),
+    and the tuples are taken from degree D - 1 downward; membership asks
+    inclusively, as a generator divides itself.  Inside the block of one
+    degree delta the first exponents do not increase, and a divisor f of e
+    has e_1 - (D - delta) <= f_1 <= e_1.  Proof: f_1 <= e_1 as f divides e,
+    and the other exponents of f sum to delta - f_1 but are bounded by
+    those of e, which sum to D - e_1.  Where the tuples up to the top
+    degree taken number at least ``_DENSE`` per degree on average, two
+    bisections cut each block down to that window and only the window is
+    tested.  Degree-sparse lists (two-variable thresholds) are scanned from
+    the top degree down, since there a bisection costs more than the few
+    tuples it skips.  The scan is a plain loop, which starts faster than a
+    chain of ``map``s on a short list; the windows are tested by such a
     chain.
     """
     hi = len(exps)
-    if hi < _DENSE or (hi := bisect_right(exps, top := sum(e), key=sum)) < _DENSE * (
-        top - sum(exps[0]) + 1
+    if hi < _DENSE or (hi := bisect_right(exps, (top := sum(e)) - strict, key=sum)) < _DENSE * (
+        top - strict - sum(exps[0]) + 1
     ):
         for f in reversed(exps[:hi]):
             if all(map(le, f, e)):
@@ -467,8 +495,8 @@ def saturate(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     sum of principal monomial ideals is the sum of the quotients.
     """
     _same_dim(ideal.ambient_dim, m.ambient_dim)
-    me = m.exponents
-    zeroed = {tuple(0 if x else g for g, x in zip(gen, me)) for gen in ideal.exponents}
+    keep = tuple(0 if x else 1 for x in m.exponents)
+    zeroed = {tuple(map(mul, gen, keep)) for gen in ideal.exponents}
     return _ideal_from_grlex(ideal.ambient_dim, _grlex_antichain(zeroed))
 
 

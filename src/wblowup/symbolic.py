@@ -10,13 +10,17 @@ the comparison returns a witness when they do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
+from typing import Iterable
 
 from .errors import InvalidArgumentError, InvariantViolationError, RadicalNotPrimeError
 from .monomials import (
     EqualityVerdict,
     Monomial,
     MonomialIdeal,
+    _grlex_antichain,
     _has_divisor,
+    _integer,
     _power_verdict,
     ideal_power,
     saturate,
@@ -99,7 +103,8 @@ def symbolic_power(primary: PrimaryMonomialIdeal, t: int) -> MonomialIdeal:
     I : m^infinity, which generate (I : m^infinity)^t.  When every variable
     lies in the radical, m = 1 and the symbolic power equals I^t.
     """
-    return ideal_power(_checked_saturation(primary, t), t)
+    t = _exponent(t)
+    return ideal_power(_checked_saturation(primary), t)
 
 
 def symbolic_equals_ordinary(primary: PrimaryMonomialIdeal, t: int) -> EqualityVerdict:
@@ -108,14 +113,22 @@ def symbolic_equals_ordinary(primary: PrimaryMonomialIdeal, t: int) -> EqualityV
     The ordinary power is always contained in the symbolic power, and this
     is checked (InvariantViolationError otherwise); on NOT_EQUAL the verdict
     carries a generator of the symbolic power that the ordinary power misses.
-    The verdict is that of :func:`compare_symbolic_power`, which describes
-    how it is reached; when the saturation removes nothing, no power is
-    formed at all.
+    The verdict and witness are those of :func:`compare_symbolic_power`,
+    but only the work the answer needs is done.  When sat(I) = I, which
+    :func:`_saturated` reads off the generators, the answer is EQUAL and
+    nothing is saturated or multiplied.  Otherwise P = sat(I)^(t-1) is
+    formed, and the minimal generators of sat(I)^t are drawn lazily, in
+    grlex order, from the products of P with sat(I): the search stops at
+    the first one that I^t misses, and only on EQUAL is every product
+    scanned.
     """
-    sat = _checked_saturation(primary, t)
-    if sat == primary.ideal:
+    t = _exponent(t)
+    if _saturated(primary):
         return EqualityVerdict()
-    return _first_missed(primary, ideal_power(sat, t), t)
+    sat = _checked_saturation(primary)
+    power = ideal_power(sat, t - 1).exponents
+    products = {tuple(map(add, g, h)) for g in power for h in sat.exponents}
+    return _first_missed(primary, _grlex_antichain(products), t)
 
 
 def compare_symbolic_power(
@@ -126,27 +139,48 @@ def compare_symbolic_power(
     The symbolic power is formed as in :func:`symbolic_power`.  The
     inclusion of I^t in it is checked without I^t: every generator of I
     lying in the saturation sat(I) gives I^t <= sat(I)^t.  When sat(I) = I
-    the two powers are equal.  Otherwise the generators of sat(I)^t are
-    walked in grlex order and each is tested for membership in I^t by the
-    search ``power_equality`` also uses, with the total degree as weight,
-    so on NOT_EQUAL the witness is the first one I^t misses.  Those
-    generators involve only the radical variables, so only the generators
-    of I supported there can be factors.
+    (see :func:`_saturated`) the two powers are equal.  Otherwise the
+    generators of sat(I)^t are walked in grlex order and each is tested for
+    membership in I^t by the search ``power_equality`` also uses, with the
+    total degree as weight, so on NOT_EQUAL the witness is the first one
+    I^t misses.  Those generators involve only the radical variables, so
+    only the generators of I supported there can be factors.
     """
-    sat = _checked_saturation(primary, t)
-    sym = ideal_power(sat, t)
-    if sat == primary.ideal:
-        return sym, EqualityVerdict()
-    return sym, _first_missed(primary, sym, t)
+    t = _exponent(t)
+    if _saturated(primary):
+        return ideal_power(primary.ideal, t), EqualityVerdict()
+    sym = ideal_power(_checked_saturation(primary), t)
+    return sym, _first_missed(primary, sym.exponents, t)
 
 
-def _checked_saturation(primary: PrimaryMonomialIdeal, t: int) -> MonomialIdeal:
-    """sat(I), by the product of the variables outside the radical.
-
-    Checks that t is positive and that every generator of I lies in sat(I).
-    """
+def _exponent(t: int) -> int:
+    """``t`` as a positive int, or INVALID_ARGUMENT."""
+    t = _integer(t, "symbolic power exponent")
     if t < 1:
         raise InvalidArgumentError(f"symbolic power exponent must be positive, got {t}")
+    return t
+
+
+def _saturated(primary: PrimaryMonomialIdeal) -> bool:
+    """Whether sat(I) = I: no minimal generator of I involves a variable off the radical.
+
+    sat(I) is I : m^infinity for the product m of the variables outside the
+    radical.  Proof: if no minimal generator involves supp(m), zeroing
+    supp(m) leaves every one of them as it is, so sat(I) = I (see
+    :func:`saturate`).  If a minimal generator g does, zeroing supp(m) in g
+    gives a proper divisor g' of g lying in sat(I).  Were g' in I, some
+    minimal generator of I would divide g' and so divide g properly, and g
+    would not be minimal.  So g' lies in sat(I) but not in I.
+    """
+    rad = primary.radical_vars
+    return all(i in rad for g in primary.ideal.exponents for i, e in enumerate(g, 1) if e)
+
+
+def _checked_saturation(primary: PrimaryMonomialIdeal) -> MonomialIdeal:
+    """sat(I), by the product of the variables outside the radical.
+
+    Checks that every generator of I lies in sat(I).
+    """
     ideal = primary.ideal
     n = ideal.ambient_dim
     outside = tuple(0 if i in primary.radical_vars else 1 for i in range(1, n + 1))
@@ -158,10 +192,10 @@ def _checked_saturation(primary: PrimaryMonomialIdeal, t: int) -> MonomialIdeal:
 
 
 def _first_missed(
-    primary: PrimaryMonomialIdeal, sym: MonomialIdeal, t: int
+    primary: PrimaryMonomialIdeal, sym: Iterable[tuple[int, ...]], t: int
 ) -> EqualityVerdict:
-    """EQUAL, or NOT_EQUAL with the first generator of ``sym`` outside I^t."""
+    """EQUAL, or NOT_EQUAL with the first of the generators ``sym`` outside I^t."""
     rad = primary.radical_vars
     base = [g for g in primary.ideal.exponents if all(i in rad for i, e in enumerate(g, 1) if e)]
     n = primary.ideal.ambient_dim
-    return _power_verdict(sym.exponents, base, (1,) * n, t, threshold=False)
+    return _power_verdict(sym, base, (1,) * n, t, threshold=False)

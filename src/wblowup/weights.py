@@ -17,7 +17,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import index
 from typing import Optional
 
 from .errors import InvalidArgumentError, InvalidWeightError, ZeroPolynomialError
@@ -27,6 +26,7 @@ from .monomials import (
     MonomialIdeal,
     Polynomial,
     _ideal_from_grlex,
+    _integer,
     _power_verdict,
     _same_dim,
 )
@@ -210,18 +210,6 @@ def _minimal_generator_exponents(entries: tuple[int, ...], d: int) -> list[tuple
 @lru_cache(maxsize=256)
 def _minimal_ideal(entries: tuple[int, ...], d: int) -> MonomialIdeal:
     return _ideal_from_grlex(len(entries), _minimal_generator_exponents(entries, d))
-
-
-def _integer(value: int, name: str) -> int:
-    """``value`` as an int, refusing floats, fractions and strings.
-
-    Checked before any cache lookup: 4.0 == 4 in an ``lru_cache`` key, so
-    a float threshold would otherwise store its answer for the int one.
-    """
-    try:
-        return index(value)
-    except TypeError:
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
 
 
 def weighted_ideal_gens(w: Weight, d: int) -> MonomialIdeal:

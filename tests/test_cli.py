@@ -1194,6 +1194,39 @@ class TestDocumentsAgainstOracles:
         witnesses = [] if verdict.witness is None else [brute_format_monomial(verdict.witness)]
         assert doc["witnesses"] == witnesses
 
+    @given(small_weights(), st.integers(1, 6), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_symbolic_weight(self, w, L, t):
+        code, doc = run_json("symbolic", *weight_args(w), "--L", str(L), "--t", str(t))
+        assert code == 0
+        ideal = minimalize(map(Monomial, brute_box_gens(w.entries, L)), w.n)
+        result = doc["result"]
+        assert result["radical_vars"] == sorted(brute_as_primary(ideal))
+        sym, verdict = brute_compare_symbolic_power(PrimaryMonomialIdeal(ideal), t)
+        assert result["symbolic_generators"] == list(map(brute_format_monomial, sym.generators))
+        # I_L holds a pure power of each positive-weight variable and involves
+        # no other, so saturating removes nothing and the powers agree.
+        assert verdict.equal
+        assert result["verdict"] == "EQUAL"
+        assert doc["witnesses"] == []
+
+    @given(small_weights())
+    @settings(max_examples=40, deadline=None)
+    def test_terminal_weight(self, w):
+        code, doc = run_json("terminal", *weight_args(w))
+        assert code == 0
+        # Chart i is 1/a_i(-a_1, ..., 1, ..., -a_n), built here from the weight.
+        expected = []
+        for i, (ai, ages) in enumerate(zip(w.nonzero, brute_chart_ages(w)), start=1):
+            if w.n == 3:
+                twists = tuple(1 if j == i else -a for j, a in enumerate(w.entries, 1))
+                terminal = terminal_lemma(ai, twists)
+            else:
+                terminal = all(age > 1 for age in ages)
+            expected.append({"index": i, "order": ai, "terminal": terminal})
+        verdict = all(chart["terminal"] for chart in expected)
+        assert doc["result"] == {"mode": "blowup", "terminal": verdict, "charts": expected}
+
     @given(st.data(), st.integers(1, 30))
     @settings(max_examples=60, deadline=None)
     def test_terminal(self, data, r):

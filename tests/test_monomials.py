@@ -346,24 +346,25 @@ def counting_walks():
     return patch.object(monomials_module, "_minus_first", wraps=monomials_module._minus_first)
 
 
-def scan_path(exps, e) -> tuple[bool, str]:
-    """``_has_divisor(exps, e)`` and the path it took.
+def scan_path(exps, e, strict=False) -> tuple[bool, str]:
+    """``_has_divisor(exps, e, strict)`` and the path it took.
 
     "short" scans a list of fewer than ``_DENSE`` tuples with no bisection,
-    "sparse" bisects to the degree of ``e`` and scans, and "walk" bisects
-    the degree blocks by first exponent.
+    "sparse" bisects to the top degree (that of ``e``, one less when
+    strict) and scans, and "walk" bisects the degree blocks by first
+    exponent.
     """
     with patch.object(monomials_module, "bisect_right", wraps=bisect_right) as cut:
         with counting_walks() as key:
-            found = _has_divisor(exps, e)
+            found = _has_divisor(exps, e, strict)
     return found, "walk" if key.called else "sparse" if cut.called else "short"
 
 
-def documented_path(exps, e) -> str:
+def documented_path(exps, e, strict=False) -> str:
     """The path ``_has_divisor`` takes by its density rule, counted by hand."""
     if len(exps) < _DENSE:
         return "short"
-    top = sum(e)
+    top = sum(e) - strict
     below = sum(1 for f in exps if sum(f) <= top)
     return "walk" if below and below >= _DENSE * (top - sum(exps[0]) + 1) else "sparse"
 
@@ -390,6 +391,10 @@ class TestDivisorScan:
             probes.append(data.draw(st.sampled_from(exps)))
         for e in probes:
             assert scan_path(exps, e) == (forward_scan(exps, e), "short")
+            # A strict query is asked only of a tuple outside the list; a
+            # short list is scanned whole either way.
+            if e not in exps:
+                assert scan_path(exps, e, True) == (forward_scan(exps, e), "short")
 
     @given(st.data(), st.integers(2, 4), st.integers(2, 5))
     @settings(max_examples=60, deadline=None)
@@ -410,6 +415,27 @@ class TestDivisorScan:
         probes.append(data.draw(tuples_of_degree(n, data.draw(st.integers(low, high)))))
         for e in probes:
             assert scan_path(exps, e) == (forward_scan(exps, e), "walk")
+            if e not in exps:
+                path = documented_path(exps, e, True)
+                assert scan_path(exps, e, True) == (forward_scan(exps, e), path)
+
+    @given(st.data(), st.integers(2, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_strict_queries_skip_their_own_degree(self, data, n):
+        # One dense degree: an inclusive query of a tuple of that degree
+        # walks its block, a strict one bisects below it and finds nothing
+        # to walk.  A tuple one degree up is walked either way.
+        low = next(g for g in range(100) if math.comb(g + n - 1, n - 1) >= 2 * _DENSE)
+        every = [t for t in itertools.product(range(low + 1), repeat=n) if sum(t) == low]
+        shuffled = data.draw(st.permutations(every))
+        exps = tuple(_grlex(shuffled[: data.draw(st.integers(_DENSE, len(every) - 1))]))
+        outside = data.draw(st.sampled_from([t for t in every if t not in exps]))
+        assert scan_path(exps, outside) == (False, "walk")
+        assert scan_path(exps, outside, True) == (False, "sparse")
+        assert documented_path(exps, outside, True) == "sparse"
+        above = data.draw(tuples_of_degree(n, low + 1))
+        assert scan_path(exps, above, True) == (forward_scan(exps, above), "walk")
+        assert documented_path(exps, above, True) == "walk"
 
     @given(st.data(), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
@@ -473,25 +499,48 @@ class TestGrlexAntichain:
             exps = data.draw(st.sets(tuples_of_degree(n, degree), max_size=40))
         else:
             exps = data.draw(st.sets(exponent_tuples(n, 5), max_size=40))
-        assert _grlex_antichain(exps) == grlex_sorted(brute_antichain(exps))
+        assert list(_grlex_antichain(exps)) == grlex_sorted(brute_antichain(exps))
 
     @given(st.data(), st.integers(2, 4))
     @settings(max_examples=40, deadline=None)
     def test_products_reach_the_block_walk(self, data, n):
         # Every tuple of one degree (2 * _DENSE or more of them) and a few
         # of the next, times a few squarefree tuples: the products of least
-        # degree are all kept, so the later candidates are walked.
+        # degree are all kept, so membership in the ideal they generate is
+        # walked, for every product and for a probe drawn apart.
         low = next(g for g in range(100) if math.comb(g + n - 1, n - 1) >= 2 * _DENSE)
         left = [t for t in itertools.product(range(low + 1), repeat=n) if sum(t) == low]
         left += data.draw(st.lists(tuples_of_degree(n, low + 1), max_size=10))
         right = data.draw(st.sets(exponent_tuples(n, 1), min_size=1, max_size=4))
         products = {tuple(map(add, g, h)) for g in left for h in right}
-        with counting_walks() as key:
-            kept = _grlex_antichain(products)
-        assert key.called
+        kept = list(_grlex_antichain(products))
+        assert kept == grlex_sorted(brute_antichain(products))
         least = sum(kept[0])
         assert sum(1 for e in kept if sum(e) == least) >= 2 * _DENSE
-        assert kept == grlex_sorted(brute_antichain(products))
+        probe = data.draw(tuples_of_degree(n, least + data.draw(st.integers(0, 2))))
+        with counting_walks() as key:
+            assert all(_has_divisor(kept, e) for e in products)
+            assert _has_divisor(kept, probe) == forward_scan(kept, probe)
+        assert key.called
+
+    @given(st.data(), st.integers(2, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_strict_scan_on_equal_degree_sets(self, data, n):
+        # 2 * _DENSE or more tuples of one degree are all kept, and not one
+        # of them walks a block: the strict query stops below their degree.
+        # Tuples a degree or two above them are walked.
+        low = next(g for g in range(100) if math.comb(g + n - 1, n - 1) >= 2 * _DENSE)
+        every = [t for t in itertools.product(range(low + 1), repeat=n) if sum(t) == low]
+        shuffled = data.draw(st.permutations(every))
+        drawn = set(shuffled[: data.draw(st.integers(2 * _DENSE, len(every)))])
+        with counting_walks() as key:
+            assert list(_grlex_antichain(drawn)) == grlex_sorted(brute_antichain(drawn))
+        assert not key.called
+        higher = st.one_of(tuples_of_degree(n, low + 1), tuples_of_degree(n, low + 2))
+        exps = drawn | set(data.draw(st.lists(higher, min_size=1, max_size=10)))
+        with counting_walks() as key:
+            assert list(_grlex_antichain(exps)) == grlex_sorted(brute_antichain(exps))
+        assert key.called
 
 
 class TestColonAndSaturate:

@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_as_primary, brute_compare_symbolic_power, brute_symbolic
+from oracles import (
+    brute_as_primary,
+    brute_compare_symbolic_power,
+    brute_saturate,
+    brute_symbolic,
+)
 from strategies import ideals, prime_radical_ideals
 from wblowup import symbolic
 from wblowup.errors import (
@@ -28,6 +34,7 @@ from wblowup.monomials import (
 from wblowup.symbolic import (
     PrimaryMonomialIdeal,
     as_primary,
+    _saturated,
     compare_symbolic_power,
     symbolic_equals_ordinary,
     symbolic_power,
@@ -41,6 +48,18 @@ def M(*exps: int) -> Monomial:
 
 def I(*gens: Monomial) -> MonomialIdeal:
     return minimalize(gens)
+
+
+def outside_radical(primary: PrimaryMonomialIdeal) -> Monomial:
+    """The product of the variables outside the radical."""
+    n = primary.ideal.ambient_dim
+    return Monomial(tuple(0 if i in primary.radical_vars else 1 for i in range(1, n + 1)))
+
+
+def threshold_plus_off_radical() -> PrimaryMonomialIdeal:
+    """I_6 of (1, 1, 1, 1, 1, 0) and x1^5*x6, whose saturation holds x1^5."""
+    ideal = weighted_ideal_gens(Weight((1, 1, 1, 1, 1, 0)), 6)
+    return as_primary(minimalize((*ideal.generators, M(5, 0, 0, 0, 0, 1)), 6))
 
 
 class TestAsPrimary:
@@ -144,6 +163,56 @@ class TestSymbolicPower:
         with pytest.raises(InvalidArgumentError):
             symbolic_power(primary, 0)
 
+    @pytest.mark.parametrize("t", [2.0, 1.5, Fraction(2), "2"])
+    def test_non_integer_exponents_refused(self, t):
+        # (x1^2, x2^3) is saturated, so the EQUAL shortcut would answer a
+        # float; the exponent is checked first.  (x1^2, x1*x2) is not.
+        for ideal in (I(M(2, 0), M(0, 3)), I(M(2, 0), M(1, 1))):
+            primary = as_primary(ideal)
+            routes = [
+                lambda: ideal_power(ideal, t),
+                lambda: symbolic_power(primary, t),
+                lambda: symbolic_equals_ordinary(primary, t),
+                lambda: compare_symbolic_power(primary, t),
+            ]
+            for route in routes:
+                with pytest.raises(InvalidArgumentError, match="must be an integer") as exc:
+                    route()
+                assert exc.value.code == "INVALID_ARGUMENT"
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_equal_although_saturation_removes_a_generator(self, t):
+        # sat(I) = (x1, x2)^4 drops x1^2*x2^2*x3, yet I^t holds every
+        # generator of (x1, x2)^(4t): the lazy walk runs to its end.
+        primary = as_primary(I(M(4, 0, 0), M(3, 1, 0), M(1, 3, 0), M(0, 4, 0), M(2, 2, 1)))
+        assert not _saturated(primary)
+        sym, verdict = compare_symbolic_power(primary, t)
+        assert (sym, verdict) == brute_compare_symbolic_power(primary, t)
+        assert verdict.equal
+        assert symbolic_equals_ordinary(primary, t) == verdict
+        assert len(sym.exponents) == 4 * t + 1
+
+    def test_first_witness_stops_the_walk(self, monkeypatch):
+        primary = threshold_plus_off_radical()
+        assert symbolic_equals_ordinary(primary, 3).witness == M(15, 0, 0, 0, 0, 0)
+        # At t = 2 the first generator of the symbolic power is missed, and
+        # it is the only one drawn from the lazy antichain.
+        drawn = []
+        antichain = symbolic._grlex_antichain
+
+        def counted(exps):
+            for e in antichain(exps):
+                drawn.append(e)
+                yield e
+
+        monkeypatch.setattr(symbolic, "_grlex_antichain", counted)
+        verdict = symbolic_equals_ordinary(primary, 2)
+        assert verdict.witness == M(10, 0, 0, 0, 0, 0)
+        assert drawn == [(10, 0, 0, 0, 0, 0)]
+        sym, expected = compare_symbolic_power(primary, 2)
+        assert verdict == expected
+        assert sym.exponents[0] == (10, 0, 0, 0, 0, 0)
+
     def test_threshold_ideals_have_equal_powers(self):
         w = Weight((1, 1, 2, 0))
         primary = as_primary(weighted_ideal_gens(w, 2))
@@ -203,6 +272,15 @@ class TestSymbolicPower:
 
 
 class TestSymbolicProperties:
+    @given(st.data(), st.integers(1, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_saturated_iff_saturation_is_the_ideal(self, data, n):
+        ideal = data.draw(prime_radical_ideals(n=n, max_exp=3))
+        primary = as_primary(ideal)
+        assert _saturated(primary) == (brute_saturate(ideal, outside_radical(primary)) == ideal)
+        if _saturated(primary):
+            assert symbolic_equals_ordinary(primary, 2).equal
+
     @given(st.data(), st.integers(1, 3), st.integers(1, 3))
     @settings(max_examples=100, deadline=None)
     def test_ordinary_contained_in_symbolic(self, data, n, t):
