@@ -68,7 +68,10 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        exps = tuple(self.exponents)
+        try:
+            exps = tuple(map(index, self.exponents))
+        except TypeError:
+            raise InvalidArgumentError(f"non-integer exponent in {self.exponents!r}") from None
         object.__setattr__(self, "exponents", exps)
         if len(exps) < 1:
             raise InvalidArgumentError("ambient dimension must be at least 1")
@@ -104,6 +107,7 @@ class Monomial:
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
     def __pow__(self, e: int) -> "Monomial":
+        e = _integer(e, "monomial power exponent")
         if e < 0:
             raise InvalidArgumentError("monomial powers must be non-negative")
         return Monomial(tuple(s * e for s in self.exponents))
@@ -302,11 +306,35 @@ def _ideal_from_grlex(ambient_dim: int, exps: Iterable[tuple[int, ...]]) -> Mono
     return ideal
 
 
+def _products(
+    left: Sequence[tuple[int, ...]], right: Sequence[tuple[int, ...]]
+) -> Iterator[tuple[int, ...]]:
+    """The minimal pair products g + h, g in ``left`` and h in ``right``, lazily, in grlex order.
+
+    The products are formed and put in a set at the call; the antichain
+    scan then yields them one at a time, so a caller that stops early skips
+    the rest of the scan.
+    """
+    return _grlex_antichain({tuple(map(add, g, h)) for g in left for h in right})
+
+
+def _power_generators(exps: Sequence[tuple[int, ...]], d: int) -> Iterator[tuple[int, ...]]:
+    """The minimal generators of the d-th power of (``exps``), d >= 1, lazily, in grlex order.
+
+    ``exps`` must be minimal and in grlex order.  Every step but the last
+    is materialized, as the next one multiplies it out; the last is the
+    lazy product stream.
+    """
+    power = iter(exps)
+    for _ in range(d - 1):
+        power = _products(tuple(power), exps)
+    return power
+
+
 def ideal_product(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal:
     """Product ideal, generated by pairwise products of generators."""
     _same_dim(left.ambient_dim, right.ambient_dim)
-    prods = {tuple(map(add, g, h)) for g in left.exponents for h in right.exponents}
-    return _ideal_from_grlex(left.ambient_dim, _grlex_antichain(prods))
+    return _ideal_from_grlex(left.ambient_dim, _products(left.exponents, right.exponents))
 
 
 def ideal_power(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
@@ -316,10 +344,7 @@ def ideal_power(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
         raise InvalidArgumentError("ideal powers must have non-negative exponent")
     if d == 0:
         return MonomialIdeal.unit(ideal.ambient_dim)
-    acc = ideal
-    for _ in range(d - 1):
-        acc = ideal_product(acc, ideal)
-    return acc
+    return _ideal_from_grlex(ideal.ambient_dim, _power_generators(ideal.exponents, d))
 
 
 # The weight of a (generator, weight) factor of ``_power_verdict``.

@@ -10,19 +10,19 @@ the comparison returns a witness when they do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
-from typing import Iterable
+from itertools import compress
+from typing import Iterable, Iterator
 
 from .errors import InvalidArgumentError, InvariantViolationError, RadicalNotPrimeError
 from .monomials import (
     EqualityVerdict,
     Monomial,
     MonomialIdeal,
-    _grlex_antichain,
     _has_divisor,
+    _ideal_from_grlex,
     _integer,
+    _power_generators,
     _power_verdict,
-    ideal_power,
     saturate,
 )
 
@@ -93,18 +93,11 @@ def as_primary(ideal: MonomialIdeal) -> PrimaryMonomialIdeal:
 def symbolic_power(primary: PrimaryMonomialIdeal, t: int) -> MonomialIdeal:
     """t-th symbolic power, taken as the t-th power of the saturated ideal.
 
-    The symbolic power is I^t : m^infinity, where m is the product of the
-    variables outside the radical, and it equals (I : m^infinity)^t, so
-    I^t is never formed.  Proof: saturating a monomial ideal by m sets the
-    coordinates of supp(m) to 0 in each of its generators (see
-    :func:`saturate`), for any generating set.  That map is multiplicative
-    on monomials, and I^t is generated by the products of t generators of
-    I, so I^t : m^infinity is generated by the products of t generators of
-    I : m^infinity, which generate (I : m^infinity)^t.  When every variable
-    lies in the radical, m = 1 and the symbolic power equals I^t.
+    Its generators are those :func:`_symbolic_generators` draws, which
+    has the proof.
     """
     t = _exponent(t)
-    return ideal_power(_checked_saturation(primary), t)
+    return _ideal_from_grlex(primary.ideal.ambient_dim, _symbolic_generators(primary, t))
 
 
 def symbolic_equals_ordinary(primary: PrimaryMonomialIdeal, t: int) -> EqualityVerdict:
@@ -114,21 +107,13 @@ def symbolic_equals_ordinary(primary: PrimaryMonomialIdeal, t: int) -> EqualityV
     is checked (InvariantViolationError otherwise); on NOT_EQUAL the verdict
     carries a generator of the symbolic power that the ordinary power misses.
     The verdict and witness are those of :func:`compare_symbolic_power`,
-    but only the work the answer needs is done.  When sat(I) = I, which
-    :func:`_saturated` reads off the generators, the answer is EQUAL and
-    nothing is saturated or multiplied.  Otherwise P = sat(I)^(t-1) is
-    formed, and the minimal generators of sat(I)^t are drawn lazily, in
-    grlex order, from the products of P with sat(I): the search stops at
-    the first one that I^t misses, and only on EQUAL is every product
-    scanned.
+    but only the work the answer needs is done: :func:`_verdict` draws the
+    generators of the symbolic power lazily, so it stops at the first
+    witness, and when sat(I) = I it answers EQUAL with nothing saturated or
+    multiplied.
     """
     t = _exponent(t)
-    if _saturated(primary):
-        return EqualityVerdict()
-    sat = _checked_saturation(primary)
-    power = ideal_power(sat, t - 1).exponents
-    products = {tuple(map(add, g, h)) for g in power for h in sat.exponents}
-    return _first_missed(primary, _grlex_antichain(products), t)
+    return _verdict(primary, _symbolic_generators(primary, t), t)
 
 
 def compare_symbolic_power(
@@ -136,21 +121,11 @@ def compare_symbolic_power(
 ) -> tuple[MonomialIdeal, EqualityVerdict]:
     """The t-th symbolic power together with its comparison to the ordinary one.
 
-    The symbolic power is formed as in :func:`symbolic_power`.  The
-    inclusion of I^t in it is checked without I^t: every generator of I
-    lying in the saturation sat(I) gives I^t <= sat(I)^t.  When sat(I) = I
-    (see :func:`_saturated`) the two powers are equal.  Otherwise the
-    generators of sat(I)^t are walked in grlex order and each is tested for
-    membership in I^t by the search ``power_equality`` also uses, with the
-    total degree as weight, so on NOT_EQUAL the witness is the first one
-    I^t misses.  Those generators involve only the radical variables, so
-    only the generators of I supported there can be factors.
+    That is :func:`symbolic_power`, and the verdict of
+    :func:`symbolic_equals_ordinary` read off its generators.
     """
-    t = _exponent(t)
-    if _saturated(primary):
-        return ideal_power(primary.ideal, t), EqualityVerdict()
-    sym = ideal_power(_checked_saturation(primary), t)
-    return sym, _first_missed(primary, sym.exponents, t)
+    sym = symbolic_power(primary, t)
+    return sym, _verdict(primary, sym.exponents, _exponent(t))
 
 
 def _exponent(t: int) -> int:
@@ -161,41 +136,60 @@ def _exponent(t: int) -> int:
     return t
 
 
-def _saturated(primary: PrimaryMonomialIdeal) -> bool:
-    """Whether sat(I) = I: no minimal generator of I involves a variable off the radical.
+def _symbolic_generators(primary: PrimaryMonomialIdeal, t: int) -> Iterator[tuple[int, ...]]:
+    """The minimal generators of the t-th symbolic power, lazily, in grlex order.
 
-    sat(I) is I : m^infinity for the product m of the variables outside the
-    radical.  Proof: if no minimal generator involves supp(m), zeroing
-    supp(m) leaves every one of them as it is, so sat(I) = I (see
-    :func:`saturate`).  If a minimal generator g does, zeroing supp(m) in g
-    gives a proper divisor g' of g lying in sat(I).  Were g' in I, some
-    minimal generator of I would divide g' and so divide g properly, and g
-    would not be minimal.  So g' lies in sat(I) but not in I.
-    """
-    rad = primary.radical_vars
-    return all(i in rad for g in primary.ideal.exponents for i, e in enumerate(g, 1) if e)
+    The symbolic power is I^t : m^infinity, where m is the product of the
+    variables outside the radical, and it equals sat(I)^t with
+    sat(I) = I : m^infinity, so I^t is never formed.  Proof: saturating a
+    monomial ideal by m sets the coordinates of supp(m) to 0 in each of its
+    generators, for any generating set, since (g) : m^k = (g / gcd(g, m^k))
+    is g with supp(m) zeroed once k >= max(g), and the quotient of a sum of
+    principal monomial ideals is the sum of the quotients (Miller–Sturmfels,
+    ch. 1; see :func:`saturate`).  That map is multiplicative on monomials,
+    and I^t is generated by the products of t generators of I, so
+    I^t : m^infinity is generated by the products of t generators of
+    sat(I), which generate sat(I)^t.  When every variable lies in the
+    radical, m = 1 and the symbolic power is I^t.
 
-
-def _checked_saturation(primary: PrimaryMonomialIdeal) -> MonomialIdeal:
-    """sat(I), by the product of the variables outside the radical.
-
-    Checks that every generator of I lies in sat(I).
+    Nothing is done before the first generator is drawn.  Then sat(I) is
+    formed, and the inclusion of I^t in it is checked as I <= sat(I): every
+    generator of I must lie in sat(I) (InvariantViolationError otherwise, a
+    raise that also runs under ``python -O``).  The generators come from the
+    power stream of :mod:`monomials`, whose last product step is lazy.
     """
     ideal = primary.ideal
-    n = ideal.ambient_dim
-    outside = tuple(0 if i in primary.radical_vars else 1 for i in range(1, n + 1))
-    sat = saturate(ideal, Monomial(outside))
+    outside = tuple(0 if i in primary.radical_vars else 1 for i in range(1, ideal.ambient_dim + 1))
+    sat = saturate(ideal, Monomial(outside)).exponents
     for g in ideal.exponents:
-        if not _has_divisor(sat.exponents, g):
+        if not _has_divisor(sat, g):
             raise InvariantViolationError(f"generator {g} of the ideal escaped its saturation")
-    return sat
+    yield from _power_generators(sat, t)
 
 
-def _first_missed(
-    primary: PrimaryMonomialIdeal, sym: Iterable[tuple[int, ...]], t: int
-) -> EqualityVerdict:
-    """EQUAL, or NOT_EQUAL with the first of the generators ``sym`` outside I^t."""
-    rad = primary.radical_vars
-    base = [g for g in primary.ideal.exponents if all(i in rad for i, e in enumerate(g, 1) if e)]
-    n = primary.ideal.ambient_dim
+def _verdict(primary: PrimaryMonomialIdeal, sym: Iterable, t: int) -> EqualityVerdict:
+    """EQUAL, or NOT_EQUAL with the first of the symbolic generators ``sym`` outside I^t.
+
+    One scan of the generators' supports collects those of I that involve
+    only radical variables.  When that is all of them, sat(I) = I, the
+    powers are equal, and ``sym`` is not read.  Proof that sat(I) = I
+    exactly when no minimal generator of I involves a variable off the
+    radical: if none does, zeroing supp(m) leaves every generator as it is
+    (see :func:`_symbolic_generators`).  If a minimal generator g does,
+    zeroing supp(m) in g gives a proper divisor g' of g lying in sat(I).
+    Were g' in I, some minimal generator of I would divide g' and so divide
+    g properly, and g would not be minimal.  So g' lies in sat(I) but not
+    in I.
+
+    Otherwise ``sym``, in grlex order, is read up to its first generator
+    outside I^t, each tested for membership by the search
+    ``power_equality`` also uses, with the total degree as weight.  The
+    symbolic generators involve only the radical variables, so only the
+    generators of I supported there can be factors.
+    """
+    rad, gens, n = primary.radical_vars, primary.ideal.exponents, primary.ideal.ambient_dim
+    indices = range(1, n + 1)
+    base = [g for g in gens if rad.issuperset(compress(indices, g))]
+    if len(base) == len(gens):
+        return EqualityVerdict()
     return _power_verdict(sym, base, (1,) * n, t, threshold=False)

@@ -100,6 +100,16 @@ class TestMonomial:
         assert type(listed.exponents) is tuple
         assert listed == M(1, 2) and hash(listed) == hash(M(1, 2))
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Monomial((1.5, 2)), lambda: Monomial(("a", 1)), lambda: Monomial((1,)) ** 2.0],
+    )
+    def test_non_integer_exponents_refused(self, build):
+        # A fractional "monomial" would otherwise enter exact ideal arithmetic.
+        with pytest.raises(InvalidArgumentError) as exc:
+            build()
+        assert exc.value.code == "INVALID_ARGUMENT"
+
     def test_errors_carry_a_code(self):
         with pytest.raises(InvalidArgumentError) as negative:
             Monomial((1, -1))

@@ -17,7 +17,7 @@ from oracles import (
     brute_symbolic,
 )
 from strategies import ideals, prime_radical_ideals
-from wblowup import symbolic
+from wblowup import monomials, symbolic
 from wblowup.errors import (
     InvalidArgumentError,
     InvariantViolationError,
@@ -34,7 +34,6 @@ from wblowup.monomials import (
 from wblowup.symbolic import (
     PrimaryMonomialIdeal,
     as_primary,
-    _saturated,
     compare_symbolic_power,
     symbolic_equals_ordinary,
     symbolic_power,
@@ -54,6 +53,15 @@ def outside_radical(primary: PrimaryMonomialIdeal) -> Monomial:
     """The product of the variables outside the radical."""
     n = primary.ideal.ambient_dim
     return Monomial(tuple(0 if i in primary.radical_vars else 1 for i in range(1, n + 1)))
+
+
+def saturated(primary: PrimaryMonomialIdeal) -> bool:
+    """Whether the verdict answers EQUAL without reading the generators it is given.
+
+    It is given the unit monomial, which lies in no power of a proper
+    ideal, so reading it gives NOT_EQUAL.
+    """
+    return symbolic._verdict(primary, [(0,) * primary.ideal.ambient_dim], 2).equal
 
 
 def threshold_plus_off_radical() -> PrimaryMonomialIdeal:
@@ -185,7 +193,7 @@ class TestSymbolicPower:
         # sat(I) = (x1, x2)^4 drops x1^2*x2^2*x3, yet I^t holds every
         # generator of (x1, x2)^(4t): the lazy walk runs to its end.
         primary = as_primary(I(M(4, 0, 0), M(3, 1, 0), M(1, 3, 0), M(0, 4, 0), M(2, 2, 1)))
-        assert not _saturated(primary)
+        assert not saturated(primary)
         sym, verdict = compare_symbolic_power(primary, t)
         assert (sym, verdict) == brute_compare_symbolic_power(primary, t)
         assert verdict.equal
@@ -195,20 +203,24 @@ class TestSymbolicPower:
     def test_first_witness_stops_the_walk(self, monkeypatch):
         primary = threshold_plus_off_radical()
         assert symbolic_equals_ordinary(primary, 3).witness == M(15, 0, 0, 0, 0, 0)
-        # At t = 2 the first generator of the symbolic power is missed, and
-        # it is the only one drawn from the lazy antichain.
-        drawn = []
-        antichain = symbolic._grlex_antichain
+        # At t = 2 the first generator of the symbolic power is missed.  The
+        # antichain scan runs twice, for the saturation and for the power
+        # stream's one product step, which is its last: that step's scan
+        # draws the witness and nothing more.
+        scans = []
+        antichain = monomials._grlex_antichain
 
         def counted(exps):
+            drawn = []
+            scans.append(drawn)
             for e in antichain(exps):
                 drawn.append(e)
                 yield e
 
-        monkeypatch.setattr(symbolic, "_grlex_antichain", counted)
+        monkeypatch.setattr(monomials, "_grlex_antichain", counted)
         verdict = symbolic_equals_ordinary(primary, 2)
         assert verdict.witness == M(10, 0, 0, 0, 0, 0)
-        assert drawn == [(10, 0, 0, 0, 0, 0)]
+        assert len(scans) == 2 and scans[-1] == [(10, 0, 0, 0, 0, 0)]
         sym, expected = compare_symbolic_power(primary, 2)
         assert verdict == expected
         assert sym.exponents[0] == (10, 0, 0, 0, 0, 0)
@@ -270,6 +282,18 @@ class TestSymbolicPower:
             symbolic_equals_ordinary(primary, 2)
         assert exc.value.code == "INVARIANT_VIOLATION"
 
+    def test_saturated_comparison_checks_its_saturation(self, monkeypatch):
+        # (x1^2, x2^3) is saturated: the verdict alone reads that off the
+        # generators and saturates nothing, but the symbolic power is formed
+        # through the saturation, and its check runs.
+        primary = as_primary(I(M(2, 0), M(0, 3)))
+        monkeypatch.setattr(symbolic, "saturate", lambda ideal, m: I(M(9, 9)))
+        assert symbolic_equals_ordinary(primary, 2).equal
+        for route in (symbolic_power, compare_symbolic_power):
+            with pytest.raises(InvariantViolationError) as exc:
+                route(primary, 2)
+            assert exc.value.code == "INVARIANT_VIOLATION"
+
 
 class TestSymbolicProperties:
     @given(st.data(), st.integers(1, 5))
@@ -277,8 +301,8 @@ class TestSymbolicProperties:
     def test_saturated_iff_saturation_is_the_ideal(self, data, n):
         ideal = data.draw(prime_radical_ideals(n=n, max_exp=3))
         primary = as_primary(ideal)
-        assert _saturated(primary) == (brute_saturate(ideal, outside_radical(primary)) == ideal)
-        if _saturated(primary):
+        assert saturated(primary) == (brute_saturate(ideal, outside_radical(primary)) == ideal)
+        if saturated(primary):
             assert symbolic_equals_ordinary(primary, 2).equal
 
     @given(st.data(), st.integers(1, 3), st.integers(1, 3))
