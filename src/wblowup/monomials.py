@@ -61,22 +61,22 @@ def _integer(value: int, name: str) -> int:
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Monomial:
     """x1^s1 * ... * xn^sn stored as the exponent tuple (s1, ..., sn)."""
 
     exponents: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, exponents: Iterable[int]) -> None:
         try:
-            exps = tuple(map(index, self.exponents))
+            exps = tuple(map(index, exponents))
         except TypeError:
-            raise InvalidArgumentError(f"non-integer exponent in {self.exponents!r}") from None
-        object.__setattr__(self, "exponents", exps)
-        if len(exps) < 1:
+            raise InvalidArgumentError(f"non-integer exponent in {exponents!r}") from None
+        if not exps:
             raise InvalidArgumentError("ambient dimension must be at least 1")
         if min(exps) < 0:
             raise InvalidArgumentError(f"negative exponent in {exps}")
+        object.__setattr__(self, "exponents", exps)
 
     @classmethod
     def one(cls, ambient_dim: int) -> "Monomial":
@@ -192,10 +192,11 @@ class MonomialIdeal:
     exponents: tuple[tuple[int, ...], ...]
 
     def __init__(self, ambient_dim: int, generators: Iterable[Monomial] = ()) -> None:
-        exps: set[tuple[int, ...]] = set()
-        for g in generators:
-            _same_dim(g.ambient_dim, ambient_dim)
-            exps.add(g.exponents)
+        # Keyed in the order given, so a mismatch names the first offender.
+        exps = {g.exponents: None for g in generators}
+        for e in exps:
+            if len(e) != ambient_dim:
+                _same_dim(len(e), ambient_dim)
         if ambient_dim < 1:
             raise InvalidArgumentError("ambient dimension must be at least 1")
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -321,14 +322,27 @@ def _products(
 def _power_generators(exps: Sequence[tuple[int, ...]], d: int) -> Iterator[tuple[int, ...]]:
     """The minimal generators of the d-th power of (``exps``), d >= 1, lazily, in grlex order.
 
-    ``exps`` must be minimal and in grlex order.  Every step but the last
-    is materialized, as the next one multiplies it out; the last is the
-    lazy product stream.
+    ``exps`` must be minimal and in grlex order.  The first generator is
+    d * s_1, for s_1 = ``exps[0]``, and it is yielded before any product is
+    formed.  Proof: grlex is a monomial order, so a <= b gives
+    a + c <= b + c, and a divisor of a monomial never follows it.  Each of
+    d generators is at least s_1, so their product is at least d * s_1,
+    with equality only when each one is s_1: d * s_1 is the least product.
+    A member of the power that divides d * s_1 is a multiple of some
+    product, so it is at least d * s_1 and, as a divisor, at most d * s_1;
+    it is d * s_1 itself.  So d * s_1 is minimal and the least minimal
+    generator.  Then every step but the last is materialized, as the next
+    one multiplies it out; the last is the lazy product stream, and its
+    first element, d * s_1 again, is dropped.
     """
+    if not exps:
+        return
+    yield tuple(d * x for x in exps[0])
     power = iter(exps)
     for _ in range(d - 1):
         power = _products(tuple(power), exps)
-    return power
+    next(power)
+    yield from power
 
 
 def ideal_product(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal:
@@ -468,11 +482,11 @@ def _has_divisor(
     chain of ``map``s on a short list; the windows are tested by such a
     chain.
     """
-    hi = len(exps)
+    size = hi = len(exps)
     if hi < _DENSE or (hi := bisect_right(exps, (top := sum(e)) - strict, key=sum)) < _DENSE * (
         top - strict - sum(exps[0]) + 1
     ):
-        for f in reversed(exps[:hi]):
+        for f in reversed(exps[:hi] if hi < size else exps):
             if all(map(le, f, e)):
                 return True
         return False
@@ -521,8 +535,19 @@ def saturate(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """
     _same_dim(ideal.ambient_dim, m.ambient_dim)
     keep = tuple(0 if x else 1 for x in m.exponents)
-    zeroed = {tuple(map(mul, gen, keep)) for gen in ideal.exponents}
-    return _ideal_from_grlex(ideal.ambient_dim, _grlex_antichain(zeroed))
+    return _ideal_from_grlex(ideal.ambient_dim, _saturation(ideal.exponents, keep))
+
+
+def _saturation(
+    exps: Iterable[tuple[int, ...]], keep: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """The minimal generators of (``exps``) with the coordinates where ``keep`` is 0 set to 0.
+
+    ``keep`` holds 1 at each coordinate to keep and 0 at each one to zero;
+    the result is in grlex order.  That is the saturation by any monomial
+    whose support is the zeroed coordinates (see :func:`saturate`).
+    """
+    return tuple(_grlex_antichain({tuple(map(mul, gen, keep)) for gen in exps}))
 
 
 def radical(ideal: MonomialIdeal) -> MonomialIdeal:

@@ -16,14 +16,13 @@ from typing import Iterable, Iterator
 from .errors import InvalidArgumentError, InvariantViolationError, RadicalNotPrimeError
 from .monomials import (
     EqualityVerdict,
-    Monomial,
     MonomialIdeal,
     _has_divisor,
     _ideal_from_grlex,
     _integer,
     _power_generators,
     _power_verdict,
-    saturate,
+    _saturation,
 )
 
 __all__ = [
@@ -70,7 +69,8 @@ class PrimaryMonomialIdeal:
         ideal = self.ideal
         if ideal.is_zero() or ideal.is_unit():
             raise InvalidArgumentError("the zero and unit ideals carry no radical data")
-        supports = [[i for i, e in enumerate(g, 1) if e] for g in ideal.exponents]
+        indices = range(1, ideal.ambient_dim + 1)
+        supports = [list(compress(indices, g)) for g in ideal.exponents]
         pure = frozenset(s[0] for s in supports if len(s) == 1)
         avoiding = [s for s in supports if pure.isdisjoint(s)]
         if avoiding:
@@ -146,7 +146,8 @@ def _symbolic_generators(primary: PrimaryMonomialIdeal, t: int) -> Iterator[tupl
     generators, for any generating set, since (g) : m^k = (g / gcd(g, m^k))
     is g with supp(m) zeroed once k >= max(g), and the quotient of a sum of
     principal monomial ideals is the sum of the quotients (Miller–Sturmfels,
-    ch. 1; see :func:`saturate`).  That map is multiplicative on monomials,
+    ch. 1; see :func:`~wblowup.monomials.saturate`, which zeroes them
+    through the same helper).  That map is multiplicative on monomials,
     and I^t is generated by the products of t generators of I, so
     I^t : m^infinity is generated by the products of t generators of
     sat(I), which generate sat(I)^t.  When every variable lies in the
@@ -156,11 +157,13 @@ def _symbolic_generators(primary: PrimaryMonomialIdeal, t: int) -> Iterator[tupl
     formed, and the inclusion of I^t in it is checked as I <= sat(I): every
     generator of I must lie in sat(I) (InvariantViolationError otherwise, a
     raise that also runs under ``python -O``).  The generators come from the
-    power stream of :mod:`monomials`, whose last product step is lazy.
+    power stream of :mod:`monomials`, which yields the first, t times the
+    first generator of sat(I), before any product step; its last product
+    step is lazy.
     """
     ideal = primary.ideal
-    outside = tuple(0 if i in primary.radical_vars else 1 for i in range(1, ideal.ambient_dim + 1))
-    sat = saturate(ideal, Monomial(outside)).exponents
+    keep = tuple(1 if i in primary.radical_vars else 0 for i in range(1, ideal.ambient_dim + 1))
+    sat = _saturation(ideal.exponents, keep)
     for g in ideal.exponents:
         if not _has_divisor(sat, g):
             raise InvariantViolationError(f"generator {g} of the ideal escaped its saturation")

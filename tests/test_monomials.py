@@ -9,7 +9,7 @@ import pickle
 import random
 import sys
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from operator import add
 from unittest.mock import patch
@@ -38,6 +38,7 @@ from wblowup.monomials import (
     _grlex,
     _grlex_antichain,
     _has_divisor,
+    _power_generators,
     colon,
     contains,
     contains_monomial,
@@ -109,6 +110,36 @@ class TestMonomial:
         with pytest.raises(InvalidArgumentError) as exc:
             build()
         assert exc.value.code == "INVALID_ARGUMENT"
+
+    def test_refusals_keep_their_messages_and_order(self):
+        # The exponents are read as ints first, then the dimension and the
+        # signs are checked, so a tuple that breaks several rules gets the
+        # first refusal.
+        cases = [
+            ((), "ambient dimension must be at least 1"),
+            ((1, -1), "negative exponent in (1, -1)"),
+            ((1.5, 2), "non-integer exponent in (1.5, 2)"),
+            (("a", 1), "non-integer exponent in ('a', 1)"),
+            ((-1, 1.5), "non-integer exponent in (-1, 1.5)"),
+        ]
+        for exps, message in cases:
+            with pytest.raises(InvalidArgumentError) as exc:
+                Monomial(exps)
+            assert (exc.value.code, str(exc.value)) == ("INVALID_ARGUMENT", message)
+
+    def test_dataclass_behaviour(self):
+        m = Monomial(exponents=(1, 2))
+        assert m == M(1, 2) and hash(m) == hash(M(1, 2))
+        assert repr(m) == "Monomial(exponents=(1, 2))"
+        assert [f.name for f in fields(Monomial)] == ["exponents"]
+        assert replace(m, exponents=[3, 0]) == M(3, 0)
+        assert type(replace(m, exponents=[3, 0]).exponents) is tuple
+        with pytest.raises(InvalidArgumentError, match="negative exponent"):
+            replace(m, exponents=(3, -1))
+        assert pickle.loads(pickle.dumps(m)) == m
+        with pytest.raises(FrozenInstanceError):
+            m.exponents = (2, 2)
+        assert m.exponents == (1, 2)
 
     def test_errors_carry_a_code(self):
         with pytest.raises(InvalidArgumentError) as negative:
@@ -201,6 +232,15 @@ class TestMinimalize:
     def test_unit_absorbs(self):
         assert minimalize([M(0, 0), M(2, 1)]) == MonomialIdeal.unit(2)
 
+    def test_dimension_mismatch_names_the_first_offender(self):
+        for gens, first in [
+            ((M(1, 0), M(1, 0, 0), M(1, 0, 0, 0)), 3),
+            ((M(1, 0, 0, 0), M(1, 0, 0), M(1, 0, 0, 0)), 4),
+        ]:
+            with pytest.raises(DimensionMismatchError) as exc:
+                MonomialIdeal(2, gens)
+            assert str(exc.value) == f"ambient dimensions differ: {first} vs 2"
+
     @given(st.data(), st.integers(1, 4))
     @settings(max_examples=150)
     def test_idempotent_and_order_independent(self, data, n):
@@ -274,6 +314,17 @@ class TestProductAndPower:
         b = data.draw(ideals(n=n, max_gens=3, max_exp=3))
         c = data.draw(ideals(n=n, max_gens=3, max_exp=3))
         assert ideal_product(ideal_product(a, b), c) == ideal_product(a, ideal_product(b, c))
+
+    @given(st.data(), st.integers(1, 3), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_power_stream_starts_with_the_least_product(self, data, n, d):
+        # d times the first generator comes first, then the rest of the
+        # minimal d-fold sums, in grlex order.
+        exps = data.draw(ideals(n=n, max_gens=4, max_exp=3, allow_zero=False)).exponents
+        sums = {tuple(map(sum, zip(*gs))) for gs in itertools.product(exps, repeat=d)}
+        stream = list(_power_generators(exps, d))
+        assert stream[0] == tuple(d * x for x in exps[0])
+        assert stream == grlex_sorted(brute_antichain(sums))
 
     @given(st.data(), st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
     @settings(max_examples=60)

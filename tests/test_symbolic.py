@@ -200,13 +200,9 @@ class TestSymbolicPower:
         assert symbolic_equals_ordinary(primary, t) == verdict
         assert len(sym.exponents) == 4 * t + 1
 
-    def test_first_witness_stops_the_walk(self, monkeypatch):
-        primary = threshold_plus_off_radical()
-        assert symbolic_equals_ordinary(primary, 3).witness == M(15, 0, 0, 0, 0, 0)
-        # At t = 2 the first generator of the symbolic power is missed.  The
-        # antichain scan runs twice, for the saturation and for the power
-        # stream's one product step, which is its last: that step's scan
-        # draws the witness and nothing more.
+    @staticmethod
+    def counted_scans(monkeypatch) -> list[list[tuple[int, ...]]]:
+        """The tuples each antichain scan draws, one list per scan, from now on."""
         scans = []
         antichain = monomials._grlex_antichain
 
@@ -218,12 +214,35 @@ class TestSymbolicPower:
                 yield e
 
         monkeypatch.setattr(monomials, "_grlex_antichain", counted)
+        return scans
+
+    def test_first_witness_stops_the_walk(self, monkeypatch):
+        primary = threshold_plus_off_radical()
+        assert symbolic_equals_ordinary(primary, 3).witness == M(15, 0, 0, 0, 0, 0)
+        # At t = 2 the first generator of the symbolic power, (x1^5)^2, is
+        # missed.  It comes before any product step, so only the
+        # saturation's antichain scan runs.
+        scans = self.counted_scans(monkeypatch)
         verdict = symbolic_equals_ordinary(primary, 2)
         assert verdict.witness == M(10, 0, 0, 0, 0, 0)
-        assert len(scans) == 2 and scans[-1] == [(10, 0, 0, 0, 0, 0)]
+        assert len(scans) == 1
         sym, expected = compare_symbolic_power(primary, 2)
         assert verdict == expected
         assert sym.exponents[0] == (10, 0, 0, 0, 0, 0)
+
+    def test_second_witness_stops_the_last_step(self, monkeypatch):
+        # sat(I) = (x1^2, x1*x2, x2^3), and x1^6 = (x1^2)^3 lies in I^3, but
+        # x1^5*x2, the second of the 7 symbolic generators, does not.  The
+        # saturation and both product steps scan; the last step's scan draws
+        # the first tuple, which the stream skips, and the witness.
+        primary = as_primary(I(M(2, 0, 0), M(0, 3, 0), M(1, 1, 1)))
+        scans = self.counted_scans(monkeypatch)
+        verdict = symbolic_equals_ordinary(primary, 3)
+        assert verdict.witness == M(5, 1, 0)
+        assert len(scans) == 3 and scans[-1] == [(6, 0, 0), (5, 1, 0)]
+        sym, expected = compare_symbolic_power(primary, 3)
+        assert verdict == expected
+        assert sym.exponents[:2] == ((6, 0, 0), (5, 1, 0)) and len(sym.exponents) == 7
 
     def test_threshold_ideals_have_equal_powers(self):
         w = Weight((1, 1, 2, 0))
@@ -277,17 +296,18 @@ class TestSymbolicPower:
     def test_escaped_ordinary_generator_raises(self, monkeypatch):
         # The check is a raise, not an assert, so it also runs under python -O.
         primary = as_primary(I(M(2, 0), M(1, 1)))
-        monkeypatch.setattr(symbolic, "saturate", lambda ideal, m: I(M(9, 9)))
-        with pytest.raises(InvariantViolationError) as exc:
-            symbolic_equals_ordinary(primary, 2)
-        assert exc.value.code == "INVARIANT_VIOLATION"
+        monkeypatch.setattr(symbolic, "_saturation", lambda exps, keep: ((9, 9),))
+        for route in (symbolic_equals_ordinary, symbolic_power, compare_symbolic_power):
+            with pytest.raises(InvariantViolationError) as exc:
+                route(primary, 2)
+            assert exc.value.code == "INVARIANT_VIOLATION"
 
     def test_saturated_comparison_checks_its_saturation(self, monkeypatch):
         # (x1^2, x2^3) is saturated: the verdict alone reads that off the
         # generators and saturates nothing, but the symbolic power is formed
         # through the saturation, and its check runs.
         primary = as_primary(I(M(2, 0), M(0, 3)))
-        monkeypatch.setattr(symbolic, "saturate", lambda ideal, m: I(M(9, 9)))
+        monkeypatch.setattr(symbolic, "_saturation", lambda exps, keep: ((9, 9),))
         assert symbolic_equals_ordinary(primary, 2).equal
         for route in (symbolic_power, compare_symbolic_power):
             with pytest.raises(InvariantViolationError) as exc:
