@@ -33,7 +33,7 @@ from operator import index, mod
 from typing import Iterator
 
 from .errors import IllFormedActionError, InvalidArgumentError, ZeroPolynomialError
-from .monomials import Monomial, Polynomial, _same_dim
+from .monomials import Monomial, Polynomial, _integer, _same_dim
 from .weights import Weight, sigma_wt
 
 __all__ = [
@@ -129,9 +129,7 @@ def reid_tai_ages(q: CyclicQuotientType) -> tuple[Fraction, ...]:
     rotation amounts frac(j * twist_i / order).  Defined for well-formed
     actions of order >= 2.
     """
-    r = q.order
-    if r < 2:
-        raise InvalidArgumentError("ages need a nontrivial group, order >= 2")
+    r = _integer(q.order, "group order", 2)
     return tuple(Fraction(s, r) for s in _age_sums(q))
 
 
@@ -193,13 +191,12 @@ def pushforward_membership(w: Weight, d: int, f: Polynomial) -> bool:
     sum_j a_j * s_j = wt(x^s) times.  The substitution is injective on
     monomials, so no terms of f cancel, and the order of f along E is the
     minimum of wt over its terms: f qualifies iff sigma_wt(w, f) >= d.
+    The order d must be a non-negative integer.
     """
     _same_dim(w.n, f.ambient_dim)
     if f.is_zero():
         raise ZeroPolynomialError("the zero polynomial has no vanishing order")
-    if d < 0:
-        raise InvalidArgumentError(f"order must be non-negative, got {d}")
-    return sigma_wt(w, f) >= d
+    return sigma_wt(w, f) >= _integer(d, "order", 0)
 
 
 def discrepancy(w: Weight) -> int:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .charts import discrepancy, is_terminal_blowup
-from .errors import InvalidArgumentError, InvariantViolationError, NoSuchContractionError
+from .errors import InvariantViolationError, NoSuchContractionError
+from .monomials import _integer
 from .weights import Weight
 
 __all__ = [
@@ -74,18 +75,15 @@ class ContractionProfile:
 def contraction_profile(n: int, r: int, b: int) -> ContractionProfile:
     """Build the profile for parameters (n, r, b).
 
-    Requires n >= 2, r >= 0, b >= 1 and r + 2 <= n (the center must fit in
-    the ambient space).  r = 0 degenerates to the ordinary smooth blow-up
-    weight (1, 1, 0, ..., 0).  Terminality of the blow-up is computed from
-    the chart quotients, not assumed, and a non-terminal verdict raises
-    InvariantViolationError.
+    Requires integers n >= 2, r >= 0, b >= 1 with r + 2 <= n (the center
+    must fit in the ambient space).  r = 0 degenerates to the ordinary
+    smooth blow-up weight (1, 1, 0, ..., 0).  Terminality of the blow-up is
+    computed from the chart quotients, not assumed, and a non-terminal
+    verdict raises InvariantViolationError.
     """
-    if n < 2:
-        raise InvalidArgumentError(f"ambient dimension must be at least 2, got {n}")
-    if r < 0:
-        raise InvalidArgumentError(f"r must be non-negative, got {r}")
-    if b < 1:
-        raise InvalidArgumentError(f"b must be positive, got {b}")
+    n = _integer(n, "ambient dimension", 2)
+    r = _integer(r, "r", 0)
+    b = _integer(b, "b", 1)
     if r + 2 > n:
         raise NoSuchContractionError(
             f"no contraction with center codimension {r + 2} in dimension {n}"

@@ -47,18 +47,36 @@ def _same_dim(a: int, b: int) -> None:
         raise DimensionMismatchError(f"ambient dimensions differ: {a} vs {b}")
 
 
-def _integer(value: int, name: str) -> int:
-    """``value`` as an int, refusing floats, fractions and strings.
+def _integer(value: int, name: str, least: Optional[int] = None) -> int:
+    """``value`` as an int of at least ``least``, or INVALID_ARGUMENT.
 
-    Checked before any cache lookup or shortcut: 4.0 == 4 in an
-    ``lru_cache`` key, so a float threshold would otherwise store its answer
-    for the int one, and the symbolic EQUAL shortcut would answer a float
-    exponent that the general route cannot take.
+    The one integer-argument check of the library: floats, fractions and
+    strings are refused rather than rounded, and a value below ``least``
+    reads "must be non-negative" (least 0), "must be positive" (least 1) or
+    "must be at least k".  Checked before any cache lookup or shortcut:
+    4.0 == 4 in an ``lru_cache`` key, so a float threshold would otherwise
+    store its answer for the int one, and the symbolic EQUAL shortcut would
+    answer a float exponent that the general route cannot take.
     """
     try:
-        return index(value)
+        value = index(value)
     except TypeError:
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        bound = {0: "non-negative", 1: "positive"}.get(least, f"at least {least}")
+        raise InvalidArgumentError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def _dimension(n: int) -> int:
+    """``n`` as an int ambient dimension of at least 1, or INVALID_ARGUMENT.
+
+    Past the integer check, a dimension below 1 keeps its own message, which
+    names no value: "ambient dimension must be at least 1".
+    """
+    if (n := _integer(n, "ambient dimension")) < 1:
+        raise InvalidArgumentError("ambient dimension must be at least 1")
+    return n
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -72,19 +90,20 @@ class Monomial:
             exps = tuple(map(index, exponents))
         except TypeError:
             raise InvalidArgumentError(f"non-integer exponent in {exponents!r}") from None
-        if not exps:
-            raise InvalidArgumentError("ambient dimension must be at least 1")
-        if min(exps) < 0:
+        if not exps or min(exps) < 0:
+            _dimension(len(exps))  # refuses the empty tuple
             raise InvalidArgumentError(f"negative exponent in {exps}")
         object.__setattr__(self, "exponents", exps)
 
     @classmethod
     def one(cls, ambient_dim: int) -> "Monomial":
-        return cls((0,) * ambient_dim)
+        return cls((0,) * _dimension(ambient_dim))
 
     @classmethod
     def variable(cls, index: int, ambient_dim: int) -> "Monomial":
         """The monomial x_index; indices are 1-based."""
+        index = _integer(index, "variable index")
+        ambient_dim = _dimension(ambient_dim)
         if not 1 <= index <= ambient_dim:
             raise InvalidArgumentError(f"variable index {index} out of range 1..{ambient_dim}")
         return cls(tuple(1 if i == index - 1 else 0 for i in range(ambient_dim)))
@@ -107,9 +126,7 @@ class Monomial:
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
     def __pow__(self, e: int) -> "Monomial":
-        e = _integer(e, "monomial power exponent")
-        if e < 0:
-            raise InvalidArgumentError("monomial powers must be non-negative")
+        e = _integer(e, "monomial power exponent", 0)
         return Monomial(tuple(s * e for s in self.exponents))
 
 
@@ -123,20 +140,22 @@ class Polynomial:
     The constructor combines like terms, drops those that cancel and puts
     the rest in grlex order through the helper that orders ideal generators,
     so equal polynomials compare equal.  The zero polynomial is the empty
-    term tuple.  A term given with coefficient 0 is refused;
-    :meth:`from_terms` skips such terms instead.
+    term tuple.  Coefficients must be ints or ``Fraction``s, so arithmetic
+    stays exact; a float is refused, not converted.  A term given with
+    coefficient 0 is refused; :meth:`from_terms` skips such terms instead.
     """
 
     ambient_dim: int
     terms: tuple[tuple[Monomial, Fraction], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.ambient_dim < 1:
-            raise InvalidArgumentError("ambient dimension must be at least 1")
+        _dimension(self.ambient_dim)
         by_exps: dict[tuple[int, ...], Monomial] = {}
         sums: dict[tuple[int, ...], Fraction] = {}
         for m, c in self.terms:
             _same_dim(m.ambient_dim, self.ambient_dim)
+            if not isinstance(c, (int, Fraction)):
+                raise InvalidArgumentError(f"coefficient must be an int or a Fraction, got {c!r}")
             if c == 0:
                 raise InvalidArgumentError("zero coefficient stored in a polynomial term")
             e = m.exponents
@@ -197,9 +216,7 @@ class MonomialIdeal:
         for e in exps:
             if len(e) != ambient_dim:
                 _same_dim(len(e), ambient_dim)
-        if ambient_dim < 1:
-            raise InvalidArgumentError("ambient dimension must be at least 1")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "ambient_dim", _dimension(ambient_dim))
         object.__setattr__(self, "exponents", tuple(_grlex_antichain(exps)))
 
     @property
@@ -352,10 +369,8 @@ def ideal_product(left: MonomialIdeal, right: MonomialIdeal) -> MonomialIdeal:
 
 
 def ideal_power(ideal: MonomialIdeal, d: int) -> MonomialIdeal:
-    """d-th power; the 0-th power is the unit ideal.  d must be an integer."""
-    d = _integer(d, "power exponent")
-    if d < 0:
-        raise InvalidArgumentError("ideal powers must have non-negative exponent")
+    """d-th power; the 0-th power is the unit ideal.  d must be a non-negative integer."""
+    d = _integer(d, "power exponent", 0)
     if d == 0:
         return MonomialIdeal.unit(ideal.ambient_dim)
     return _ideal_from_grlex(ideal.ambient_dim, _power_generators(ideal.exponents, d))

@@ -32,8 +32,8 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidArgumentError, InvalidWeightError, PolynomialSyntaxError
-from .monomials import Monomial, Polynomial
+from .errors import InvalidWeightError, PolynomialSyntaxError
+from .monomials import Monomial, Polynomial, _dimension
 from .weights import Weight
 
 __all__ = [
@@ -62,8 +62,7 @@ def parse_polynomial(text: str, ambient_dim: int) -> Polynomial:
     polynomial rather than raising; callers that need a nonzero value are
     responsible for rejecting it.
     """
-    if ambient_dim < 1:
-        raise InvalidArgumentError("ambient dimension must be at least 1")
+    ambient_dim = _dimension(ambient_dim)
     bad = _BAD_CHARACTER.search(text)
     if bad:
         raise PolynomialSyntaxError(f"unexpected character {bad.group()!r}", bad.start())
@@ -172,11 +171,10 @@ def parse_weight(text: str, ambient_dim: int) -> Weight:
 
     The entries listed must be the positive ones; shape violations (a zero
     or negative entry, gcd above 1, more entries than variables) raise
-    InvalidWeightError; an ambient dimension below 1 raises
-    InvalidArgumentError first, as in parse_polynomial.
+    InvalidWeightError; an ambient dimension that is not an integer of at
+    least 1 raises InvalidArgumentError first, as in parse_polynomial.
     """
-    if ambient_dim < 1:
-        raise InvalidArgumentError("ambient dimension must be at least 1")
+    ambient_dim = _dimension(ambient_dim)
     parts = [p.strip() for p in text.split(",")]
     if any(not p for p in parts):
         raise InvalidWeightError(f"malformed weight text {text!r}")

@@ -96,7 +96,7 @@ def symbolic_power(primary: PrimaryMonomialIdeal, t: int) -> MonomialIdeal:
     Its generators are those :func:`_symbolic_generators` draws, which
     has the proof.
     """
-    t = _exponent(t)
+    t = _integer(t, "symbolic power exponent", 1)
     return _ideal_from_grlex(primary.ideal.ambient_dim, _symbolic_generators(primary, t))
 
 
@@ -112,7 +112,7 @@ def symbolic_equals_ordinary(primary: PrimaryMonomialIdeal, t: int) -> EqualityV
     witness, and when sat(I) = I it answers EQUAL with nothing saturated or
     multiplied.
     """
-    t = _exponent(t)
+    t = _integer(t, "symbolic power exponent", 1)
     return _verdict(primary, _symbolic_generators(primary, t), t)
 
 
@@ -124,16 +124,9 @@ def compare_symbolic_power(
     That is :func:`symbolic_power`, and the verdict of
     :func:`symbolic_equals_ordinary` read off its generators.
     """
+    t = _integer(t, "symbolic power exponent", 1)
     sym = symbolic_power(primary, t)
-    return sym, _verdict(primary, sym.exponents, _exponent(t))
-
-
-def _exponent(t: int) -> int:
-    """``t`` as a positive int, or INVALID_ARGUMENT."""
-    t = _integer(t, "symbolic power exponent")
-    if t < 1:
-        raise InvalidArgumentError(f"symbolic power exponent must be positive, got {t}")
-    return t
+    return sym, _verdict(primary, sym.exponents, t)
 
 
 def _symbolic_generators(primary: PrimaryMonomialIdeal, t: int) -> Iterator[tuple[int, ...]]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .errors import InvalidArgumentError, InvalidWeightError, ZeroPolynomialError
+from .errors import InvalidWeightError, ZeroPolynomialError
 from .monomials import (
     EqualityVerdict,
     Monomial,
@@ -45,15 +45,24 @@ __all__ = [
 class Weight:
     """Weight vector (a1, ..., ak, 0, ..., 0) on n variables.
 
-    The positive entries come first, at least one is required, and their gcd
-    must be 1 (a common factor would rescale every threshold, so normalized
-    vectors keep the degree bookkeeping unambiguous).
+    The entries are integers, the positive ones come first, at least one is
+    required, and their gcd must be 1 (a common factor would rescale every
+    threshold, so normalized vectors keep the degree bookkeeping
+    unambiguous).
     """
 
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(self.entries)
+        # math.gcd refuses every non-integer entry.  The gcd is taken over
+        # all the entries, so it is the one integer check, free on a valid
+        # weight: by the time it is compared, the zero entries are known to
+        # trail the positive ones, and they leave it unchanged.
+        try:
+            entries = tuple(self.entries)
+            gcd = math.gcd(*entries)
+        except TypeError:
+            raise InvalidWeightError(f"non-integer weight entry in {self.entries!r}") from None
         object.__setattr__(self, "entries", entries)
         if len(entries) < 1:
             raise InvalidWeightError("a weight needs at least one entry")
@@ -66,7 +75,7 @@ class Weight:
             raise InvalidWeightError(
                 f"positive entries must precede the zero entries, got {entries}"
             )
-        if math.gcd(*entries[:k]) != 1:
+        if gcd != 1:
             raise InvalidWeightError(
                 f"gcd of the positive entries must be 1, got {entries[:k]}"
             )
@@ -220,10 +229,7 @@ def weighted_ideal_gens(w: Weight, d: int) -> MonomialIdeal:
     a generator without changing its weighted degree.  The threshold must
     be an integer.
     """
-    d = _integer(d, "threshold")
-    if d < 0:
-        raise InvalidArgumentError(f"threshold must be non-negative, got {d}")
-    return _minimal_ideal(w.entries, d)
+    return _minimal_ideal(w.entries, _integer(d, "threshold", 0))
 
 
 def power_equality(w: Weight, L: int, d: int) -> EqualityVerdict:
@@ -247,12 +253,8 @@ def power_equality(w: Weight, L: int, d: int) -> EqualityVerdict:
     d), so a point that ``find_normality_index`` walked is answered again
     without a search.
     """
-    L = _integer(L, "threshold L")
-    d = _integer(d, "power exponent")
-    if L < 1:
-        raise InvalidArgumentError(f"threshold L must be positive, got {L}")
-    if d < 1:
-        raise InvalidArgumentError(f"power exponent must be positive, got {d}")
+    L = _integer(L, "threshold L", 1)
+    d = _integer(d, "power exponent", 1)
     if d == 1:
         return EqualityVerdict()
     return _power_equality(w.entries, L, d)
@@ -279,12 +281,8 @@ def find_normality_index(w: Weight, d_max: int, L_max: int) -> Optional[int]:
     must be integers.  The verdicts come from the cache ``power_equality``
     reads, so the points walked here are not searched twice.
     """
-    d_max = _integer(d_max, "d_max")
-    L_max = _integer(L_max, "L_max")
-    if d_max < 2:
-        raise InvalidArgumentError(f"d_max must be at least 2, got {d_max}")
-    if L_max < 1:
-        raise InvalidArgumentError(f"L_max must be positive, got {L_max}")
+    d_max = _integer(d_max, "d_max", 2)
+    L_max = _integer(L_max, "L_max", 1)
     for L in range(1, L_max + 1):
         if all(_power_equality(w.entries, L, d).equal for d in range(2, d_max + 1)):
             return L

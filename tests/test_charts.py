@@ -137,7 +137,7 @@ class TestReidTai:
         assert ages == (Fraction(5, 3), Fraction(4, 3))
 
     def test_trivial_group_has_no_ages(self):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="^group order must be at least 2, got 1$"):
             reid_tai_ages(CyclicQuotientType(1, (0, 0)))
 
     def test_terminal_examples(self):

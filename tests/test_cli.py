@@ -1305,11 +1305,16 @@ _CI_IDEAL = "x1^6,x2^5,x3^4,x1^2*x4^12,x2*x3*x5^11,x1*x2*x4^3*x5^7"
 
 
 class TestConsoleScript:
+    # tests/conftest.py puts src/ on the path of this process only, so a
+    # subprocess finds the package through its environment.
+    env = {**os.environ, "PYTHONPATH": str(Path(wblowup.__file__).resolve().parent.parent)}
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "wblowup.cli", "wt", "--weight", "1,1", "--n", "2", "x1"],
             capture_output=True,
             text=True,
+            env=self.env,
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "sigma_wt: 1"
@@ -1342,12 +1347,11 @@ class TestConsoleScript:
     def test_optimized_interpreter(self, argv, exit_code, witness, summary):
         # Under python -O asserts are stripped, so every invariant the
         # answer depends on has to be an explicit raise.
-        src = str(Path(wblowup.__file__).resolve().parent.parent)
         proc = subprocess.run(
             [sys.executable, "-O", "-m", "wblowup.cli", *argv, "--json"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": src},
+            env=self.env,
         )
         assert proc.returncode == exit_code, proc.stderr
         doc = json.loads(proc.stdout)

@@ -79,7 +79,7 @@ class TestMonomial:
         assert M(1, 2) ** 0 == M(0, 0)
         with pytest.raises(DimensionMismatchError):
             M(1) * M(1, 2)
-        with pytest.raises(InvalidArgumentError, match="monomial powers must be non-negative"):
+        with pytest.raises(InvalidArgumentError, match="monomial power exponent must be non-negative, got -1"):
             M(1, 2) ** -1
         with pytest.raises(TypeError):
             M(1) * 3
@@ -176,6 +176,16 @@ class TestPolynomial:
         with pytest.raises(InvalidArgumentError, match="ambient dimension must be at least 1") as e:
             Polynomial(0)
         assert e.value.code == "INVALID_ARGUMENT"
+
+    @pytest.mark.parametrize("coefficient", [0.1, 0.5, "1/2"])
+    def test_inexact_coefficients_refused(self, coefficient):
+        # Fraction(0.1) would store 3602879701896397/36028797018963968.
+        for build in (
+            lambda: Polynomial(1, ((M(1), coefficient),)),
+            lambda: Polynomial.from_terms([(M(1), coefficient)], 1),
+        ):
+            with pytest.raises(InvalidArgumentError, match="coefficient must be an int or a Fr"):
+                build()
 
     def test_cancelling_terms_give_zero(self):
         f = Polynomial(1, ((M(1), 1), (M(1), -1)))

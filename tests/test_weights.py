@@ -78,6 +78,10 @@ class TestWeight:
             Weight((2, -1))
         with pytest.raises(InvalidWeightError, match="non-negative"):
             Weight((1, 0, -1))
+        # Not a raw TypeError, and no float entry: sigma_wt would answer 1.0.
+        for entries in ((1.5, 2), ("a", 1), (1, 0.0)):
+            with pytest.raises(InvalidWeightError, match="non-integer weight entry in"):
+                Weight(entries)
 
     def test_rejects_common_factor(self):
         with pytest.raises(InvalidWeightError):
