@@ -47,6 +47,16 @@ def _same_dim(a: int, b: int) -> None:
         raise DimensionMismatchError(f"ambient dimensions differ: {a} vs {b}")
 
 
+def _wrong_type(name: str, expected: str, *values: object) -> InvalidArgumentError:
+    """INVALID_ARGUMENT for ``name`` handed values that are not the library types it takes.
+
+    The entry points raise it from the AttributeError that reading such a
+    value raises, so valid input pays no type check.
+    """
+    got = " and ".join(type(v).__name__ for v in values)
+    return InvalidArgumentError(f"{name} expects {expected}, got {got}")
+
+
 def _integer(value: int, name: str, least: Optional[int] = None) -> int:
     """``value`` as an int of at least ``least``, or INVALID_ARGUMENT.
 
@@ -262,8 +272,12 @@ class EqualityVerdict:
 
 def divides(m1: Monomial, m2: Monomial) -> bool:
     """True iff m1 divides m2 componentwise."""
-    _same_dim(m1.ambient_dim, m2.ambient_dim)
-    return all(map(le, m1.exponents, m2.exponents))
+    try:
+        a, b = m1.exponents, m2.exponents
+    except AttributeError:
+        raise _wrong_type("divides", "two Monomials", m1, m2) from None
+    _same_dim(len(a), len(b))
+    return all(map(le, a, b))
 
 
 def minimalize(gens: Iterable[Monomial], ambient_dim: Optional[int] = None) -> MonomialIdeal:
@@ -528,8 +542,12 @@ def contains(ideal: MonomialIdeal, f: Polynomial) -> bool:
 
     The zero polynomial belongs to every ideal, including the zero ideal.
     """
+    try:
+        exps, terms = ideal.exponents, f.terms
+    except AttributeError:
+        raise _wrong_type("contains", "a MonomialIdeal and a Polynomial", ideal, f) from None
     _same_dim(ideal.ambient_dim, f.ambient_dim)
-    return all(_has_divisor(ideal.exponents, m.exponents) for m, _ in f.terms)
+    return all(_has_divisor(exps, m.exponents) for m, _ in terms)
 
 
 def colon(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InvalidWeightError, PolynomialSyntaxError
-from .monomials import Monomial, Polynomial, _dimension
+from .monomials import Monomial, Polynomial, _dimension, _wrong_type
 from .weights import Weight
 
 __all__ = [
@@ -175,7 +175,10 @@ def parse_weight(text: str, ambient_dim: int) -> Weight:
     least 1 raises InvalidArgumentError first, as in parse_polynomial.
     """
     ambient_dim = _dimension(ambient_dim)
-    parts = [p.strip() for p in text.split(",")]
+    try:
+        parts = [p.strip() for p in text.split(",")]
+    except AttributeError:
+        raise _wrong_type("parse_weight", "weight text as a str", text) from None
     if any(not p for p in parts):
         raise InvalidWeightError(f"malformed weight text {text!r}")
     try:

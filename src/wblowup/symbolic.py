@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PrimaryMonomialIdeal:
     """A monomial ideal together with its variable-generated radical.
 
@@ -65,8 +65,7 @@ class PrimaryMonomialIdeal:
     ideal: MonomialIdeal
     radical_vars: frozenset[int] = field(init=False)
 
-    def __post_init__(self) -> None:
-        ideal = self.ideal
+    def __init__(self, ideal: MonomialIdeal) -> None:
         if ideal.is_zero() or ideal.is_unit():
             raise InvalidArgumentError("the zero and unit ideals carry no radical data")
         indices = range(1, ideal.ambient_dim + 1)
@@ -78,6 +77,7 @@ class PrimaryMonomialIdeal:
             raise RadicalNotPrimeError(
                 f"radical generator with support {support} involves more than one variable"
             )
+        object.__setattr__(self, "ideal", ideal)
         object.__setattr__(self, "radical_vars", pure)
 
 

@@ -17,7 +17,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from operator import mul
+from typing import Iterable, Optional
 
 from .errors import InvalidWeightError, ZeroPolynomialError
 from .monomials import (
@@ -29,6 +30,7 @@ from .monomials import (
     _integer,
     _power_verdict,
     _same_dim,
+    _wrong_type,
 )
 
 __all__ = [
@@ -41,7 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Weight:
     """Weight vector (a1, ..., ak, 0, ..., 0) on n variables.
 
@@ -53,32 +55,30 @@ class Weight:
 
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        # math.gcd refuses every non-integer entry.  The gcd is taken over
-        # all the entries, so it is the one integer check, free on a valid
-        # weight: by the time it is compared, the zero entries are known to
-        # trail the positive ones, and they leave it unchanged.
+    def __init__(self, entries: Iterable[int]) -> None:
+        # One pass of C-level builtins.  math.gcd refuses every non-integer
+        # entry, and the zero entries leave it unchanged, so it is the one
+        # integer check and free on a valid weight.  Once the entries are
+        # non-negative, the positive ones come first exactly when the last
+        # entries.count(0) of them are zero, so k counts the leading
+        # positive entries and no loop walks them.
         try:
-            entries = tuple(self.entries)
-            gcd = math.gcd(*entries)
+            exps = tuple(entries)
+            gcd = math.gcd(*exps)
         except TypeError:
-            raise InvalidWeightError(f"non-integer weight entry in {self.entries!r}") from None
-        object.__setattr__(self, "entries", entries)
-        if len(entries) < 1:
+            raise InvalidWeightError(f"non-integer weight entry in {entries!r}") from None
+        if not exps:
             raise InvalidWeightError("a weight needs at least one entry")
-        k = self.k
-        if k == 0:
+        if exps[0] <= 0:
             raise InvalidWeightError("leading weight entries must be positive")
-        if min(entries) < 0:
-            raise InvalidWeightError(f"weight entries must be non-negative, got {entries}")
-        if any(e != 0 for e in entries[k:]):
-            raise InvalidWeightError(
-                f"positive entries must precede the zero entries, got {entries}"
-            )
+        if min(exps) < 0:
+            raise InvalidWeightError(f"weight entries must be non-negative, got {exps}")
+        k = len(exps) - exps.count(0)
+        if any(exps[k:]):
+            raise InvalidWeightError(f"positive entries must precede the zero entries, got {exps}")
         if gcd != 1:
-            raise InvalidWeightError(
-                f"gcd of the positive entries must be 1, got {entries[:k]}"
-            )
+            raise InvalidWeightError(f"gcd of the positive entries must be 1, got {exps[:k]}")
+        object.__setattr__(self, "entries", exps)
 
     @property
     def n(self) -> int:
@@ -87,12 +87,7 @@ class Weight:
     @property
     def k(self) -> int:
         """Number of positive entries."""
-        count = 0
-        for e in self.entries:
-            if e <= 0:
-                break
-            count += 1
-        return count
+        return len(self.entries) - self.entries.count(0)
 
     @property
     def nonzero(self) -> tuple[int, ...]:
@@ -101,8 +96,12 @@ class Weight:
 
 def monomial_weight(w: Weight, m: Monomial) -> int:
     """Weighted degree of a single monomial."""
-    _same_dim(w.n, m.ambient_dim)
-    return sum(a * s for a, s in zip(w.entries, m.exponents))
+    try:
+        entries, exps = w.entries, m.exponents
+    except AttributeError:
+        raise _wrong_type("monomial_weight", "a Weight and a Monomial", w, m) from None
+    _same_dim(len(entries), len(exps))
+    return sum(map(mul, entries, exps))
 
 
 def sigma_wt(w: Weight, f: Polynomial) -> int:
@@ -111,10 +110,14 @@ def sigma_wt(w: Weight, f: Polynomial) -> int:
     Undefined (an error) for the zero polynomial, which vanishes to every
     order.
     """
-    _same_dim(w.n, f.ambient_dim)
-    if f.is_zero():
+    try:
+        entries, terms = w.entries, f.terms
+    except AttributeError:
+        raise _wrong_type("sigma_wt", "a Weight and a Polynomial", w, f) from None
+    _same_dim(len(entries), f.ambient_dim)
+    if not terms:
         raise ZeroPolynomialError("the zero polynomial has no weighted degree")
-    return min(monomial_weight(w, m) for m, _ in f.terms)
+    return min(sum(map(mul, entries, m.exponents)) for m, _ in terms)
 
 
 def _minimal_generator_exponents(entries: tuple[int, ...], d: int) -> list[tuple[int, ...]]:

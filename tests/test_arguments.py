@@ -11,6 +11,10 @@ for the three arguments of ``contraction_profile``, ``parse_polynomial``,
 of ``Polynomial`` and ``MonomialIdeal`` would build a value with a float
 ambient dimension, ``pushforward_membership`` would answer True, and
 ``Monomial.variable(1.5, 2)`` would return the monomial 1.
+
+A value of the wrong library type is refused the same way, with a message
+naming the types expected: without the check, each call of that table
+would escape as a raw AttributeError.
 """
 
 from __future__ import annotations
@@ -20,7 +24,14 @@ import pytest
 from wblowup.charts import pushforward_membership
 from wblowup.contraction import contraction_profile
 from wblowup.errors import InvalidArgumentError, WblowupError
-from wblowup.monomials import Monomial, MonomialIdeal, Polynomial, ideal_power
+from wblowup.monomials import (
+    Monomial,
+    MonomialIdeal,
+    Polynomial,
+    contains,
+    divides,
+    ideal_power,
+)
 from wblowup.parsing import parse_polynomial, parse_weight
 from wblowup.symbolic import (
     as_primary,
@@ -31,7 +42,9 @@ from wblowup.symbolic import (
 from wblowup.weights import (
     Weight,
     find_normality_index,
+    monomial_weight,
     power_equality,
+    sigma_wt,
     weighted_ideal_gens,
 )
 
@@ -182,3 +195,36 @@ def test_the_least_value_passes(site):
         call(small + 1)
     except WblowupError as exc:
         assert not str(exc).startswith(name), exc
+
+
+# call, message
+WRONG_TYPES = {
+    "divides": (
+        lambda: divides(Monomial((1,)), (1,)),
+        "divides expects two Monomials, got Monomial and tuple",
+    ),
+    "monomial_weight": (
+        lambda: monomial_weight(_W, (1, 1)),
+        "monomial_weight expects a Weight and a Monomial, got Weight and tuple",
+    ),
+    "contains": (
+        lambda: contains(_PRIMARY.ideal, Monomial((1, 1))),
+        "contains expects a MonomialIdeal and a Polynomial, got MonomialIdeal and Monomial",
+    ),
+    "sigma_wt": (
+        lambda: sigma_wt(_W, Monomial((1, 1))),
+        "sigma_wt expects a Weight and a Polynomial, got Weight and Monomial",
+    ),
+    "parse_weight": (
+        lambda: parse_weight(5, 2),
+        "parse_weight expects weight text as a str, got int",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", WRONG_TYPES.values(), ids=WRONG_TYPES)
+def test_wrong_library_type_refused(call, message):
+    with pytest.raises(InvalidArgumentError) as exc:
+        call()
+    assert exc.value.code == "INVALID_ARGUMENT"
+    assert str(exc.value) == message

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -129,6 +130,32 @@ class TestAsPrimary:
         )
         with pytest.raises(TypeError):
             PrimaryMonomialIdeal(I(M(1, 0)), frozenset({1}))
+
+    def test_dataclass_behaviour(self):
+        ideal = I(M(2, 0, 0), M(1, 1, 1), M(0, 3, 0))
+        primary = PrimaryMonomialIdeal(ideal=ideal)
+        assert primary == as_primary(ideal) and hash(primary) == hash(as_primary(ideal))
+        assert repr(primary) == (
+            "PrimaryMonomialIdeal(ideal=MonomialIdeal(ambient_dim=3, "
+            "exponents=((2, 0, 0), (1, 1, 1), (0, 3, 0))), radical_vars=frozenset({1, 2}))"
+        )
+        assert [(f.name, f.init) for f in fields(PrimaryMonomialIdeal)] == [
+            ("ideal", True),
+            ("radical_vars", False),
+        ]
+        # replace builds through the constructor, which works out the radical
+        # again, and refuses a radical handed in.
+        assert replace(primary, ideal=I(M(3, 0, 0), M(0, 0, 1))).radical_vars == {1, 3}
+        with pytest.raises(RadicalNotPrimeError):
+            replace(primary, ideal=I(M(1, 1, 0)))
+        with pytest.raises(ValueError, match="init=False"):
+            replace(primary, radical_vars=frozenset({1}))
+        assert pickle.loads(pickle.dumps(primary)) == primary
+        with pytest.raises(FrozenInstanceError):
+            primary.ideal = I(M(1, 0, 0))
+        with pytest.raises(FrozenInstanceError):
+            primary.radical_vars = frozenset({1})
+        assert (primary.ideal, primary.radical_vars) == (ideal, frozenset({1, 2}))
 
 
 class TestSymbolicPower:

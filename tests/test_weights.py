@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import pickle
 import tracemalloc
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -57,6 +59,40 @@ def uncached_power_equality(w: Weight, L: int, d: int):
 # Neither a float, a fraction nor a string is an integer threshold.
 NON_INTEGERS = [4.0, Fraction(4), "4"]
 
+# Malformed weights and the exact message of each.  The checks run in a
+# fixed order: integer entries, at least one entry, a positive first entry,
+# no negative entry, the positive entries before the zeros, gcd 1.  An
+# input that breaks two rules gets the message of the first.
+MALFORMED_WEIGHTS = [
+    ([1.5, 2], "non-integer weight entry in [1.5, 2]"),
+    ((1, 0.0), "non-integer weight entry in (1, 0.0)"),
+    (("a", 1), "non-integer weight entry in ('a', 1)"),
+    ((2.0, 4), "non-integer weight entry in (2.0, 4)"),
+    ((0, -1.5), "non-integer weight entry in (0, -1.5)"),
+    ((), "a weight needs at least one entry"),
+    ((0, 1), "leading weight entries must be positive"),
+    ((0, -1), "leading weight entries must be positive"),
+    ((-2, 4), "leading weight entries must be positive"),
+    ((2, -1), "weight entries must be non-negative, got (2, -1)"),
+    ((2, -1, 0), "weight entries must be non-negative, got (2, -1, 0)"),
+    ((1, 0, -1), "weight entries must be non-negative, got (1, 0, -1)"),
+    ((1, 0, 2), "positive entries must precede the zero entries, got (1, 0, 2)"),
+    ((2, 0, 4), "positive entries must precede the zero entries, got (2, 0, 4)"),
+    ((1, 0, 0, 3, 0), "positive entries must precede the zero entries, got (1, 0, 0, 3, 0)"),
+    ((2, 4), "gcd of the positive entries must be 1, got (2, 4)"),
+    ((6, 10, 14, 0), "gcd of the positive entries must be 1, got (6, 10, 14)"),
+]
+
+
+def leading_positive(entries: tuple[int, ...]) -> int:
+    """The number of positive entries before the first entry that is not."""
+    count = 0
+    for e in entries:
+        if e <= 0:
+            break
+        count += 1
+    return count
+
 
 class TestWeight:
     def test_basic_properties(self):
@@ -82,6 +118,34 @@ class TestWeight:
         for entries in ((1.5, 2), ("a", 1), (1, 0.0)):
             with pytest.raises(InvalidWeightError, match="non-integer weight entry in"):
                 Weight(entries)
+
+    @pytest.mark.parametrize("entries, message", MALFORMED_WEIGHTS)
+    def test_refusals_in_order(self, entries, message):
+        with pytest.raises(InvalidWeightError) as exc:
+            Weight(entries)
+        assert exc.value.code == "INVALID_WEIGHT"
+        assert str(exc.value) == message
+
+    @given(weights(max_dim=8))
+    def test_k_counts_the_leading_positive_entries(self, w):
+        k = leading_positive(w.entries)
+        assert w.k == k and w.nonzero == w.entries[:k]
+        assert all(w.nonzero) and not any(w.entries[k:])
+
+    def test_dataclass_behaviour(self):
+        w = Weight(entries=[2, 3, 0])
+        assert w == Weight((2, 3, 0)) and hash(w) == hash(Weight((2, 3, 0)))
+        assert type(w.entries) is tuple
+        assert repr(w) == "Weight(entries=(2, 3, 0))"
+        assert [f.name for f in fields(Weight)] == ["entries"]
+        assert replace(w, entries=[1, 1]) == Weight((1, 1))
+        assert type(replace(w, entries=[1, 1]).entries) is tuple
+        with pytest.raises(InvalidWeightError, match="gcd of the positive entries"):
+            replace(w, entries=(2, 4))
+        assert pickle.loads(pickle.dumps(w)) == w
+        with pytest.raises(FrozenInstanceError):
+            w.entries = (1, 1, 0)
+        assert w.entries == (2, 3, 0)
 
     def test_rejects_common_factor(self):
         with pytest.raises(InvalidWeightError):
