@@ -17,8 +17,9 @@ its weighted degree, so ``pushforward_membership`` answers by
 Terminality of a cyclic quotient is decided by the Reid-Tai criterion:
 every nontrivial group element must have age strictly greater than 1,
 where the age of element j is sum_i frac(j * twist_i / order), read off
-one checked pass of the integer sums r * age.  Chart quotients are always
-well formed, so ``is_terminal_blowup`` never raises ``ILL_FORMED_ACTION``:
+one pass of the integer sums r * age.  A ``CyclicQuotientType`` is well
+formed by construction, so the pass checks nothing.  Chart quotients are
+always well formed, so forming them never raises ``ILL_FORMED_ACTION``:
 off any coordinate but i, chart i keeps its twist 1, and off coordinate i
 the gcd is gcd(a_i, a_j : j != i) = gcd(a) = 1.
 """
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count, repeat
 from operator import index, mod
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import IllFormedActionError, InvalidArgumentError, ZeroPolynomialError
 from .monomials import Monomial, Polynomial, _integer, _same_dim
@@ -49,35 +50,49 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CyclicQuotientType:
-    """Cyclic quotient singularity data: group order and diagonal twists.
+    """A well-formed cyclic quotient singularity: group order and diagonal twists.
 
     Twists are stored reduced mod the order, so two descriptions of the
     same action compare equal.  Order 1 is the trivial (smooth) quotient.
     The order and the twists must be integers (anything with
     ``__index__``); floats, fractions and strings are refused rather than
-    rounded.
+    rounded.  The action must be well formed: for every coordinate i the
+    order and the twists off i must be coprime, or some nontrivial element
+    fixes a hyperplane and Reid-Tai does not apply; such an action is
+    refused with ILL_FORMED_ACTION, naming the first such coordinate.  The
+    gcd off i joins a prefix gcd with a suffix gcd, so the check is linear
+    in the number of coordinates.
     """
 
     order: int
     twists: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, order: int, twists: Iterable[int]) -> None:
         try:
-            order = index(self.order)
-            twists = tuple(map(index, self.twists))
+            r = index(order)
+            ints = tuple(map(index, twists))
         except TypeError:
             raise InvalidArgumentError(
-                f"group order and twists must be integers, got {self.order!r} and {self.twists!r}"
+                f"group order and twists must be integers, got {order!r} and {twists!r}"
             ) from None
-        if order < 1:
-            raise InvalidArgumentError(f"group order must be positive, got {order}")
-        reduced = tuple(b % order for b in twists)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "twists", reduced)
-        if len(reduced) < 1:
+        if r < 1:
+            raise InvalidArgumentError(f"group order must be positive, got {r}")
+        if not ints:
             raise InvalidArgumentError("a quotient needs at least one coordinate")
+        reduced = tuple(b % r for b in ints)
+        # gcd(r, twists[:i]) and gcd(twists[i + 1 :]), for each i.
+        before = accumulate(reduced, math.gcd, initial=r)
+        after = [*accumulate(reversed(reduced), math.gcd, initial=0)][-2::-1]
+        for i, g in enumerate(map(math.gcd, before, after)):
+            if g != 1:
+                raise IllFormedActionError(
+                    f"order {r} shares a factor with the twists off coordinate x{i + 1}, "
+                    f"twists {reduced}"
+                )
+        object.__setattr__(self, "order", r)
+        object.__setattr__(self, "twists", reduced)
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,8 +141,8 @@ def reid_tai_ages(q: CyclicQuotientType) -> tuple[Fraction, ...]:
 
     Element j of the cyclic group scales coordinate i by a primitive root
     of unity to the power j * twist_i; its age adds up the normalized
-    rotation amounts frac(j * twist_i / order).  Defined for well-formed
-    actions of order >= 2.
+    rotation amounts frac(j * twist_i / order).  Defined for every
+    quotient of order >= 2.
     """
     r = _integer(q.order, "group order", 2)
     return tuple(Fraction(s, r) for s in _age_sums(q))
@@ -150,7 +165,8 @@ def is_terminal(q: CyclicQuotientType) -> bool:
     """Reid-Tai criterion: terminal iff every age is strictly above 1.
 
     Compares sum_i (j * twist_i mod order) > order in integers and stops at
-    the first j that fails; order 1 has no such j, so it is terminal.
+    the first j that fails; order 1 has no such j, so it is terminal.  The
+    quotient is well formed by construction, so no action is refused here.
     """
     return all(map(q.order.__lt__, _age_sums(q)))
 
@@ -158,23 +174,14 @@ def is_terminal(q: CyclicQuotientType) -> bool:
 def _age_sums(q: CyclicQuotientType) -> Iterator[int]:
     """r times each age: sum_i (j * twist_i mod r), lazily, for j = 1..r-1.
 
-    The action is checked at the call to be well formed: for every coordinate
-    i the order and the twists off i must be coprime, or some nontrivial
-    element fixes a hyperplane and Reid-Tai does not apply.  The gcd off i
-    joins a prefix gcd with a suffix gcd, so the check is linear in n.
+    Zero twists add nothing, so only the nonzero ones get a row.  A
+    well-formed quotient of order r >= 2 has one: with all twists zero the
+    gcd off any coordinate is r.  Order 1 has no j, and no row.
     """
-    r, twists = q.order, q.twists
-    before = accumulate(twists, math.gcd, initial=r)  # gcd(r, twists[:i])
-    after = [*accumulate(reversed(twists), math.gcd, initial=0)][-2::-1]  # gcd(twists[i + 1 :])
-    for i, g in enumerate(map(math.gcd, before, after)):
-        if g != 1:
-            raise IllFormedActionError(
-                f"order {r} shares a factor with the twists off coordinate x{i + 1}, "
-                f"twists {twists}"
-            )
-    # Row i lists j * twist_i mod r; zero twists add nothing but zip needs a row.
-    rows = [map(mod, range(b, b * r, b), repeat(r)) for b in twists if b]
-    return map(sum, zip(*rows or [repeat(0, r - 1)]))
+    r = q.order
+    # Row i lists j * twist_i mod r for j = 1..r-1.
+    rows = [map(mod, range(b, b * r, b), repeat(r)) for b in q.twists if b]
+    return map(sum, zip(*rows))
 
 
 def is_terminal_blowup(w: Weight) -> bool:

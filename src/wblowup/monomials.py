@@ -141,9 +141,10 @@ class Monomial:
 
 
 Coefficient = Union[int, Fraction]
+_Term = tuple[Monomial, Coefficient]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Polynomial:
     """Finite sum of monomials with nonzero exact rational coefficients.
 
@@ -156,31 +157,28 @@ class Polynomial:
     """
 
     ambient_dim: int
-    terms: tuple[tuple[Monomial, Fraction], ...] = ()
+    terms: tuple[tuple[Monomial, Fraction], ...]
 
-    def __post_init__(self) -> None:
-        _dimension(self.ambient_dim)
+    def __init__(self, ambient_dim: int, terms: Iterable[_Term] = ()) -> None:
+        n = _dimension(ambient_dim)
         by_exps: dict[tuple[int, ...], Monomial] = {}
         sums: dict[tuple[int, ...], Fraction] = {}
-        for m, c in self.terms:
-            _same_dim(m.ambient_dim, self.ambient_dim)
+        for m, c in terms:
+            e = m.exponents
+            if len(e) != n:
+                _same_dim(len(e), n)
             if not isinstance(c, (int, Fraction)):
                 raise InvalidArgumentError(f"coefficient must be an int or a Fraction, got {c!r}")
             if c == 0:
                 raise InvalidArgumentError("zero coefficient stored in a polynomial term")
-            e = m.exponents
-            if e in sums:
-                sums[e] += Fraction(c)
-            else:
-                by_exps[e] = m
-                sums[e] = Fraction(c)
+            by_exps.setdefault(e, m)
+            sums[e] = sums[e] + c if e in sums else Fraction(c)
         kept = _grlex(e for e, c in sums.items() if c)
+        object.__setattr__(self, "ambient_dim", n)
         object.__setattr__(self, "terms", tuple((by_exps[e], sums[e]) for e in kept))
 
     @classmethod
-    def from_terms(
-        cls, terms: Iterable[tuple[Monomial, Coefficient]], ambient_dim: int
-    ) -> "Polynomial":
+    def from_terms(cls, terms: Iterable[_Term], ambient_dim: int) -> "Polynomial":
         return cls(ambient_dim, tuple((m, c) for m, c in terms if c != 0))
 
     @classmethod

@@ -34,11 +34,10 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from wblowup.charts import (
     ChartDescription,
-    CyclicQuotientType,
     cartier_index,
     charts,
     discrepancy,
@@ -495,9 +494,8 @@ def brute_format_monomial(m: Monomial) -> str:
     return "*".join(parts)
 
 
-def brute_ill_formed_coordinate(q: CyclicQuotientType) -> int | None:
+def brute_ill_formed_coordinate(r: int, twists: Sequence[int]) -> int | None:
     """First 1-based coordinate off which the order and the twists share a factor."""
-    r, twists = q.order, q.twists
     for i in range(len(twists)):
         if math.gcd(r, *twists[:i], *twists[i + 1 :]) != 1:
             return i + 1

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,6 @@ from oracles import (
 from strategies import monomials, polynomials, weights
 from wblowup.charts import (
     CyclicQuotientType,
-    _age_sums,
     _chart_quotients,
     _terminal_ages,
     cartier_index,
@@ -46,7 +47,7 @@ def M(*exps: int) -> Monomial:
 
 def well_formed(r: int, twists: tuple[int, ...]) -> bool:
     """Is r prime to the twists off each coordinate?  Stated apart from the library."""
-    return brute_ill_formed_coordinate(CyclicQuotientType(r, twists)) is None
+    return brute_ill_formed_coordinate(r, twists) is None
 
 
 class TestCyclicQuotientType:
@@ -80,6 +81,55 @@ class TestCyclicQuotientType:
         q = CyclicQuotientType(True, [False, 3])
         assert (q.order, q.twists) == (1, (0, 0))
         assert type(q.order) is int and all(type(b) is int for b in q.twists)
+
+    @pytest.mark.parametrize(
+        "order, twists, error, message",
+        [
+            (0, (), InvalidArgumentError, "group order must be positive, got 0"),
+            (
+                4.0,
+                (2, 2),
+                InvalidArgumentError,
+                "group order and twists must be integers, got 4.0 and (2, 2)",
+            ),
+            (4, (), InvalidArgumentError, "a quotient needs at least one coordinate"),
+            (
+                4,
+                (2, 2),
+                IllFormedActionError,
+                "order 4 shares a factor with the twists off coordinate x1, twists (2, 2)",
+            ),
+        ],
+    )
+    def test_refusal_order(self, order, twists, error, message):
+        # Integers first, then a positive order, then a coordinate, and the
+        # well-formedness check last.
+        with pytest.raises(error) as exc:
+            CyclicQuotientType(order, twists)
+        assert str(exc.value) == message
+
+    def test_dataclass_behaviour(self):
+        q = CyclicQuotientType(order=5, twists=[7, -1, 10])
+        same = CyclicQuotientType(5, (2, 4, 0))
+        assert q == same and hash(q) == hash(same)
+        assert repr(q) == "CyclicQuotientType(order=5, twists=(2, 4, 0))"
+        assert [f.name for f in dataclasses.fields(CyclicQuotientType)] == ["order", "twists"]
+        assert dataclasses.replace(q, twists=[1, -1, 1]) == CyclicQuotientType(5, (1, 4, 1))
+        assert pickle.loads(pickle.dumps(q)) == q
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.twists = (2, 2, 0)
+
+    def test_replace_cannot_build_an_ill_formed_action(self):
+        q = CyclicQuotientType(4, (1, 3, 1))
+        with pytest.raises(IllFormedActionError) as exc:
+            dataclasses.replace(q, twists=(1, 2, 2))
+        assert exc.value.code == "ILL_FORMED_ACTION"
+        assert str(exc.value) == (
+            "order 4 shares a factor with the twists off coordinate x1, twists (1, 2, 2)"
+        )
+        # 1/5(1, 2, 2) at order 2 is 1/2(1, 0, 0), a reflection.
+        with pytest.raises(IllFormedActionError, match="coordinate x1, twists \\(1, 0, 0\\)$"):
+            dataclasses.replace(CyclicQuotientType(5, (1, 2, 2)), order=2)
 
 
 class TestCharts:
@@ -156,7 +206,7 @@ class TestReidTai:
 
     def test_unfaithful_action_rejected(self):
         with pytest.raises(IllFormedActionError) as exc:
-            is_terminal(CyclicQuotientType(4, (2, 2)))
+            CyclicQuotientType(4, (2, 2))
         assert exc.value.code == "ILL_FORMED_ACTION"
 
     @pytest.mark.parametrize(
@@ -167,12 +217,12 @@ class TestReidTai:
         # Off some coordinate the twists share a factor with the order, so a
         # nontrivial element fixes a hyperplane.  1/3(1,0,0) is smooth and
         # 1/4(1,2,2) is 1/2(1,1,1): neither answer would be "not terminal",
-        # and the ages would not be those of the quotient.
-        for question in (is_terminal, reid_tai_ages, _terminal_ages):
-            with pytest.raises(IllFormedActionError) as exc:
-                question(CyclicQuotientType(order, twists))
-            assert exc.value.code == "ILL_FORMED_ACTION", question
-            assert f"coordinate {coordinate}" in str(exc.value), question
+        # and the ages would not be those of the quotient.  So no such
+        # quotient is built, and no verdict or age can be asked of one.
+        with pytest.raises(IllFormedActionError) as exc:
+            CyclicQuotientType(order, twists)
+        assert exc.value.code == "ILL_FORMED_ACTION"
+        assert f"coordinate {coordinate}" in str(exc.value)
 
     @given(
         st.integers(1, 30).flatmap(
@@ -183,27 +233,26 @@ class TestReidTai:
     def test_well_formedness_names_the_first_coordinate_of_the_full_gcds(self, action):
         # Prefix and suffix gcds must refuse exactly the actions the gcd off
         # each coordinate refuses, naming the same first coordinate.
-        q = CyclicQuotientType(*action)
-        first = brute_ill_formed_coordinate(q)
+        r, twists = action
+        first = brute_ill_formed_coordinate(r, twists)
         if first is None:
-            _age_sums(q)
+            assert CyclicQuotientType(r, twists).twists == tuple(b % r for b in twists)
             return
         with pytest.raises(IllFormedActionError) as exc:
-            _age_sums(q)
+            CyclicQuotientType(r, twists)
+        assert exc.value.code == "ILL_FORMED_ACTION"
         assert str(exc.value) == (
-            f"order {q.order} shares a factor with the twists off coordinate x{first}, "
-            f"twists {q.twists}"
+            f"order {r} shares a factor with the twists off coordinate x{first}, "
+            f"twists {tuple(b % r for b in twists)}"
         )
 
     def test_integer_verdict_matches_ages(self):
         for r in range(2, 13):
             for twists in itertools.product(range(r), repeat=3):
-                q = CyclicQuotientType(r, twists)
-                try:
-                    verdict = is_terminal(q)
-                except IllFormedActionError:
+                if not well_formed(r, twists):
                     continue
-                assert verdict == all(age > 1 for age in reid_tai_ages(q)), (r, twists)
+                q = CyclicQuotientType(r, twists)
+                assert is_terminal(q) == all(age > 1 for age in reid_tai_ages(q)), (r, twists)
 
     def test_age_strings_match_printed_fractions(self):
         # Ages do not depend on the order of the twists, so one order of

@@ -32,7 +32,6 @@ from oracles import (
     terminal_lemma,
 )
 from strategies import prime_radical_ideals
-from wblowup.charts import CyclicQuotientType
 from wblowup.cli import _render_json, main
 from wblowup.monomials import Monomial, contains_monomial, ideal_power, minimalize
 from wblowup.symbolic import PrimaryMonomialIdeal
@@ -1231,7 +1230,7 @@ class TestDocumentsAgainstOracles:
     @settings(max_examples=60, deadline=None)
     def test_terminal(self, data, r):
         twists = data.draw(st.tuples(*[st.integers(-r, 2 * r)] * 3))
-        assume(brute_ill_formed_coordinate(CyclicQuotientType(r, twists)) is None)
+        assume(brute_ill_formed_coordinate(r, twists) is None)
         # A value that starts with '-' is attached with '=', or argparse reads a flag.
         code, doc = run_json("terminal", "--r", str(r), "--twists=" + ",".join(map(str, twists)))
         assert code == 0

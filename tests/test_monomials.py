@@ -177,6 +177,37 @@ class TestPolynomial:
             Polynomial(0)
         assert e.value.code == "INVALID_ARGUMENT"
 
+    def test_dataclass_behaviour(self):
+        f = Polynomial(ambient_dim=2, terms=[(M(0, 1), 2), (M(1, 0), Fraction(1, 2))])
+        assert f.terms == ((M(1, 0), Fraction(1, 2)), (M(0, 1), Fraction(2)))
+        same = Polynomial.from_terms([(M(1, 0), Fraction(1, 2)), (M(0, 1), 2)], 2)
+        assert f == same and hash(f) == hash(same)
+        assert [field.name for field in fields(Polynomial)] == ["ambient_dim", "terms"]
+        assert repr(f) == (
+            "Polynomial(ambient_dim=2, terms=((Monomial(exponents=(1, 0)), Fraction(1, 2)), "
+            "(Monomial(exponents=(0, 1)), Fraction(2, 1))))"
+        )
+        assert replace(f, terms=[(M(1, 0), 1), (M(1, 0), -1)]) == Polynomial.zero(2)
+        with pytest.raises(DimensionMismatchError, match=r"^ambient dimensions differ: 1 vs 2$"):
+            replace(f, terms=[(M(1), 1)])
+        assert pickle.loads(pickle.dumps(f)) == f
+        with pytest.raises(FrozenInstanceError):
+            f.terms = ()
+
+    def test_refusal_order(self):
+        # The dimension first, then term by term: its dimension, its
+        # coefficient's type, a zero coefficient.
+        cases = [
+            ((0, [(M(1), 0.5)]), "ambient dimension must be at least 1"),
+            ((2, [(M(1), 0.5)]), "ambient dimensions differ: 1 vs 2"),
+            ((2, [(M(1, 0), 0.5), (M(1), 1)]), "coefficient must be an int or a Fraction, got 0.5"),
+            ((2, [(M(1, 0), 0), (M(1), 1)]), "zero coefficient stored in a polynomial term"),
+        ]
+        for args, message in cases:
+            with pytest.raises((InvalidArgumentError, DimensionMismatchError)) as exc:
+                Polynomial(*args)
+            assert str(exc.value) == message, args
+
     @pytest.mark.parametrize("coefficient", [0.1, 0.5, "1/2"])
     def test_inexact_coefficients_refused(self, coefficient):
         # Fraction(0.1) would store 3602879701896397/36028797018963968.
