@@ -17,7 +17,10 @@ its weighted degree, so ``pushforward_membership`` answers by
 Terminality of a cyclic quotient is decided by the Reid-Tai criterion:
 every nontrivial group element must have age strictly greater than 1,
 where the age of element j is sum_i frac(j * twist_i / order), read off
-one pass of the integer sums r * age.  A ``CyclicQuotientType`` is well
+one pass of the integer sums r * age.  ``_terminal_ages`` returns the
+verdict with those sums, not with strings, and ``_age_texts`` prints any
+slice of them as reduced fractions, so the command line formats the ages
+a block at a time as it writes them.  A ``CyclicQuotientType`` is well
 formed by construction, so the pass checks nothing.  Chart quotients are
 always well formed, so forming them never raises ``ILL_FORMED_ACTION``:
 off any coordinate but i, chart i keeps its twist 1, and off coordinate i
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count, repeat
 from operator import index, mod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IllFormedActionError, InvalidArgumentError, ZeroPolynomialError
 from .monomials import Monomial, Polynomial, _integer, _same_dim
@@ -148,17 +151,25 @@ def reid_tai_ages(q: CyclicQuotientType) -> tuple[Fraction, ...]:
     return tuple(Fraction(s, r) for s in _age_sums(q))
 
 
-def _terminal_ages(q: CyclicQuotientType) -> tuple[bool, list[str]]:
-    """The :func:`is_terminal` verdict and the ages as ``str`` prints them, from one pass."""
-    r = q.order
+def _terminal_ages(q: CyclicQuotientType) -> tuple[bool, list[int]]:
+    """The :func:`is_terminal` verdict and the integer age sums r * age, from one pass.
+
+    The sums stay ints; :func:`_age_texts` turns any slice of them into the
+    printed ages.
+    """
     sums = list(_age_sums(q))
+    return all(map(q.order.__lt__, sums)), sums
+
+
+def _age_texts(r: int, sums: Sequence[int]) -> list[str]:
+    """The ages s / r of any slice of age sums, each as ``str`` prints its Fraction."""
     suffix = f"/{r}"
     ages = [text + suffix for text in map(str, sums)]
     # Only the sums that share a factor with r print reduced.
     for j in compress(count(), map((1).__ne__, map(math.gcd, sums, repeat(r)))):
         s, g = sums[j], math.gcd(sums[j], r)
         ages[j] = f"{s // g}/{r // g}" if g < r else str(s // r)
-    return all(map(r.__lt__, sums)), ages
+    return ages
 
 
 def is_terminal(q: CyclicQuotientType) -> bool:

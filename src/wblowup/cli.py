@@ -6,14 +6,22 @@
      "witnesses": [...], "checks": [...]}
 
 into which a subcommand's handler fills only the fields it sets.  It is
-rendered as plain lines by default and as JSON under --json.  The JSON has
-the same bytes as ``json.dumps(doc, indent=2)``, but ``_render_json`` hands
-each list of scalars to json's C encoder in one call, which ``indent``
-would switch off.  Exit status: 0 on success, 1 when --strict is set and
-the run produced a negative verdict (NOT_EQUAL, false, a failed check, or
-an exhausted search), 2 on any error; error documents carry
-{"error": {"code", "message"}} with the stable code of the underlying
-exception.
+rendered as plain lines by default and as JSON under --json.  Exit
+status: 0 on success, 1 when --strict is set and the run produced a
+negative verdict (NOT_EQUAL, false, a failed check, or an exhausted
+search), 2 on any error; error documents carry {"error": {"code",
+"message"}} with the stable code of the underlying exception.
+
+``main`` writes the document to stdout through one writer as it renders
+it, and no string ever holds all of it.  The JSON has the same bytes as
+``json.dumps(doc, indent=2)``, but ``_render_json`` hands each list of
+scalars to json's C encoder ``_BLOCK`` items at a time, which ``indent``
+would switch off.  The long lists of a document (the monomials of an
+ideal or of a chart map, the ages of a quotient) stay raw until then: a
+handler passes a ``_Deferred`` of the exponent tuples or age sums that the
+library returned, and both renderers format it one block at a time.  Only
+formatting waits: every library call has returned before the first byte
+is written, so the exit status and any error document are settled first.
 """
 
 from __future__ import annotations
@@ -21,10 +29,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Optional, Sequence
 
 from .charts import (
     CyclicQuotientType,
+    _age_texts,
     _chart_quotients,
     _terminal_ages,
     cartier_index,
@@ -52,6 +62,25 @@ from .weights import (
 )
 
 SCHEMA_VERSION = 1
+# Items a renderer formats and writes at a time.
+_BLOCK = 4096
+
+
+class _Deferred:
+    """A list of strings kept as raw items until the renderer writes it.
+
+    ``texts`` maps any slice of ``items`` to the strings of that slice.  It
+    is neither a list nor a tuple, so the renderers' list branches do not
+    take it.
+    """
+
+    __slots__ = ("items", "texts")
+
+    def __init__(self, items: Sequence, texts: Callable[[Sequence], list[str]]) -> None:
+        self.items, self.texts = items, texts
+
+    def __len__(self) -> int:
+        return len(self.items)
 
 
 def _flag(dest: str) -> str:
@@ -106,9 +135,9 @@ def _cmd_wt(args: argparse.Namespace) -> tuple[dict, bool]:
 def _cmd_ideal(args: argparse.Namespace) -> tuple[dict, bool]:
     w, inputs = _weight_inputs(args)
     inputs["d"] = args.d
-    ideal = weighted_ideal_gens(w, args.d)
-    gens = _format_monomials(ideal.exponents)
-    return {"inputs": inputs, "result": {"generators": gens, "count": len(gens)}}, False
+    exps = weighted_ideal_gens(w, args.d).exponents
+    gens = _Deferred(exps, _format_monomials)
+    return {"inputs": inputs, "result": {"generators": gens, "count": len(exps)}}, False
 
 
 def _cmd_normality(args: argparse.Namespace) -> tuple[dict, bool]:
@@ -135,7 +164,7 @@ def _cmd_symbolic(args: argparse.Namespace) -> tuple[dict, bool]:
                 raise PolynomialSyntaxError(exc.message, start + exc.position) from None
             start += len(piece) + 1
         ideal = minimalize(gens, n)
-        inputs: dict = {"n": n, "generators": _format_monomials(ideal.exponents)}
+        inputs: dict = {"n": n, "generators": _Deferred(ideal.exponents, _format_monomials)}
     else:
         w, inputs = _weight_inputs(args)
         inputs["L"] = args.L
@@ -145,7 +174,7 @@ def _cmd_symbolic(args: argparse.Namespace) -> tuple[dict, bool]:
     sym, verdict = compare_symbolic_power(primary, args.t)
     result = {
         "radical_vars": sorted(primary.radical_vars),
-        "symbolic_generators": _format_monomials(sym.exponents),
+        "symbolic_generators": _Deferred(sym.exponents, _format_monomials),
         "verdict": verdict.verdict,
     }
     return _compared(inputs, result, verdict), not verdict.equal
@@ -157,7 +186,7 @@ def _cmd_charts(args: argparse.Namespace) -> tuple[dict, bool]:
         {
             "index": c.index,
             "quotient": {"order": c.quotient.order, "twists": list(c.quotient.twists)},
-            "map": _format_monomials([m.exponents for m in c.chart_map]),
+            "map": _Deferred([m.exponents for m in c.chart_map], _format_monomials),
             "exceptional_coordinate": f"x{c.index}",
         }
         for c in charts(w)
@@ -174,7 +203,8 @@ def _cmd_terminal(args: argparse.Namespace) -> tuple[dict, bool]:
             raise InvalidArgumentError(f"malformed twists {args.twists!r}") from exc
         q = CyclicQuotientType(args.r, twists)
         inputs = {"r": q.order, "twists": list(q.twists)}
-        verdict, ages = _terminal_ages(q)
+        verdict, sums = _terminal_ages(q)
+        ages = _Deferred(sums, partial(_age_texts, q.order))
         result = {"mode": "quotient", "terminal": verdict, "ages": ages}
         return {"inputs": inputs, "result": result}, not verdict
     w, inputs = _weight_inputs(args)
@@ -291,55 +321,79 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _human_lines(doc: dict) -> list[str]:
+def _write_blocks(value: Any, write: Callable[[str], Any], text: Callable, sep: str) -> None:
+    """Write ``text`` of each block of a list of scalars or a ``_Deferred``, sep between."""
+    items, texts = (value.items, value.texts) if isinstance(value, _Deferred) else (value, list)
+    for start in range(0, len(items), _BLOCK):
+        if start:
+            write(sep)
+        write(text(texts(items[start : start + _BLOCK])))
+
+
+def _render_human(doc: dict, write: Callable[[str], Any]) -> None:
+    """Write the plain lines of doc, each followed by a newline."""
     error = doc.get("error")
     if error is not None:
-        return [f"error[{error['code']}]: {error['message']}"]
-    lines = []
+        write(f"error[{error['code']}]: {error['message']}\n")
+        return
     for key, value in doc["result"].items():
         if isinstance(value, list) and value and isinstance(value[0], dict):
             for entry in value:
-                rendered = ", ".join(f"{k}={v}" for k, v in entry.items())
-                lines.append(f"{key}[]: {rendered}")
-        elif isinstance(value, list):
-            lines.append(f"{key}: {', '.join(str(v) for v in value)}")
+                write(f"{key}[]: ")
+                sep = ""
+                for k, v in entry.items():
+                    write(f"{sep}{k}=")
+                    if isinstance(v, _Deferred):  # as str prints a list of str
+                        write("[")
+                        _write_blocks(v, write, lambda b: ", ".join(map(repr, b)), ", ")
+                        write("]")
+                    else:
+                        write(str(v))
+                    sep = ", "
+                write("\n")
+        elif isinstance(value, (list, _Deferred)):
+            write(f"{key}: ")
+            _write_blocks(value, write, lambda b: ", ".join(map(str, b)), ", ")
+            write("\n")
         else:
-            lines.append(f"{key}: {value}")
+            write(f"{key}: {value}\n")
     if doc["witnesses"]:
-        lines.append("witness: " + ", ".join(doc["witnesses"]))
+        write("witness: " + ", ".join(doc["witnesses"]) + "\n")
     for check in doc["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
-        lines.append(f"[{status}] {check['name']}: {check['detail']}")
-    return lines
+        write(f"[{status}] {check['name']}: {check['detail']}\n")
 
 
-def _render_json(value: Any, indent: str, out: list[str]) -> None:
-    """Append ``json.dumps(value, indent=2)`` at depth ``indent`` to out, in chunks.
+def _render_json(value: Any, indent: str, write: Callable[[str], Any]) -> None:
+    """Write ``json.dumps(value, indent=2)`` at depth ``indent`` through write, in pieces.
 
-    Keys must be str; tuples render as lists, as in ``json``.
+    Keys must be str; tuples render as lists, as in ``json``, and a
+    ``_Deferred`` as the list of its strings.  A list of scalars or a
+    ``_Deferred`` goes to the C encoder ``_BLOCK`` items at a time, with the
+    separators ``indent`` would give.
     """
+    inner = indent + "  "
     if isinstance(value, dict) and value:
-        inner = indent + "  "
         opening = "{\n" + inner
         for key, item in value.items():
-            out.append(f"{opening}{json.dumps(key)}: ")
-            _render_json(item, inner, out)
+            write(f"{opening}{json.dumps(key)}: ")
+            _render_json(item, inner, write)
             opening = ",\n" + inner
-        out.append("\n" + indent + "}")
-    elif isinstance(value, (list, tuple)) and value:
-        inner = indent + "  "
-        if {dict, list, tuple}.isdisjoint(map(type, value)):
-            encoder = json.JSONEncoder(separators=(",\n" + inner, ": "))
-            out.append(f"[\n{inner}{encoder.encode(value)[1:-1]}\n{indent}]")
-            return
+        write("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)) and not {dict, list, tuple}.isdisjoint(map(type, value)):
         opening = "[\n" + inner
         for item in value:
-            out.append(opening)
-            _render_json(item, inner, out)
+            write(opening)
+            _render_json(item, inner, write)
             opening = ",\n" + inner
-        out.append("\n" + indent + "]")
+        write("\n" + indent + "]")
+    elif isinstance(value, (list, tuple, _Deferred)) and len(value):
+        encoder = json.JSONEncoder(separators=(",\n" + inner, ": "))
+        write("[\n" + inner)
+        _write_blocks(value, write, lambda b: encoder.encode(b)[1:-1], ",\n" + inner)
+        write("\n" + indent + "]")
     else:
-        out.append(json.dumps(value))
+        write("[]" if isinstance(value, _Deferred) else json.dumps(value))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -359,12 +413,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except WblowupError as exc:
         doc["error"] = {"code": exc.code, "message": str(exc)}
         status = 2
+    write = sys.stdout.write
     if args.json:
-        chunks: list[str] = []
-        _render_json(doc, "", chunks)
-        print("".join(chunks))
+        _render_json(doc, "", write)
+        write("\n")
     else:
-        print("\n".join(_human_lines(doc)))
+        _render_human(doc, write)
     return status
 
 

@@ -21,6 +21,7 @@ from oracles import (
 from strategies import monomials, polynomials, weights
 from wblowup.charts import (
     CyclicQuotientType,
+    _age_texts,
     _chart_quotients,
     _terminal_ages,
     cartier_index,
@@ -257,17 +258,31 @@ class TestReidTai:
     def test_age_strings_match_printed_fractions(self):
         # Ages do not depend on the order of the twists, so one order of
         # each multiset covers every well-formed action.
-        assert _terminal_ages(CyclicQuotientType(3, (1, 2))) == (False, ["1", "1"])
+        assert _terminal_ages(CyclicQuotientType(3, (1, 2))) == (False, [3, 3])
+        assert _age_texts(3, [3, 3]) == ["1", "1"]
         assert _terminal_ages(CyclicQuotientType(1, (0, 0))) == (True, [])
+        assert _age_texts(1, []) == []
         for r in range(2, 31):
             for n in (2, 3):
                 for twists in itertools.combinations_with_replacement(range(r), n):
                     if not well_formed(r, twists):
                         continue
                     q = CyclicQuotientType(r, twists)
-                    verdict, ages = _terminal_ages(q)
-                    assert ages == [str(a) for a in reid_tai_ages(q)], (r, twists)
+                    verdict, sums = _terminal_ages(q)
+                    ages = reid_tai_ages(q)
+                    assert sums == [r * a for a in ages], (r, twists)
+                    assert _age_texts(r, sums) == [str(a) for a in ages], (r, twists)
                     assert verdict == is_terminal(q), (r, twists)
+
+    @given(st.integers(2, 60), st.lists(st.integers(0, 200), max_size=40), st.data())
+    def test_age_texts_of_a_slice_are_that_slice_of_the_texts(self, r, sums, data):
+        # The CLI formats the ages of `terminal --r` a block at a time.  Only
+        # an order of at least 2 has ages.
+        start = data.draw(st.integers(0, len(sums)))
+        stop = data.draw(st.integers(start, len(sums)))
+        texts = _age_texts(r, sums)
+        assert texts == [str(Fraction(s, r)) for s in sums]
+        assert _age_texts(r, sums[start:stop]) == texts[start:stop]
 
     def test_matches_terminal_lemma(self):
         # The terminal lemma decides dimension 3 without forming an age.

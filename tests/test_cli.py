@@ -10,7 +10,9 @@ import operator
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -32,10 +34,12 @@ from oracles import (
     terminal_lemma,
 )
 from strategies import prime_radical_ideals
-from wblowup.cli import _render_json, main
+from wblowup.charts import _age_texts
+from wblowup.cli import _BLOCK, _Deferred, _render_human, _render_json, main
 from wblowup.monomials import Monomial, contains_monomial, ideal_power, minimalize
+from wblowup.parsing import _format_monomials
 from wblowup.symbolic import PrimaryMonomialIdeal
-from wblowup.weights import Weight, monomial_weight
+from wblowup.weights import Weight, _minimal_ideal, monomial_weight
 
 
 def run(capsys, *argv: str) -> tuple[int, dict]:
@@ -1280,9 +1284,9 @@ class TestRenderJson:
 
     @staticmethod
     def rendered(doc) -> str:
-        chunks: list[str] = []
-        _render_json(doc, "", chunks)
-        return "".join(chunks)
+        pieces: list[str] = []
+        _render_json(doc, "", pieces.append)
+        return "".join(pieces)
 
     @given(_DOCUMENTS)
     @settings(max_examples=300)
@@ -1298,6 +1302,118 @@ class TestRenderJson:
         }
         assert self.rendered(doc) == json.dumps(doc, indent=2)
         assert self.rendered((1, (2, 3), ())) == json.dumps((1, (2, 3), ()), indent=2)
+
+
+def _materialized(value):
+    """The document with each ``_Deferred`` replaced by the list of its strings."""
+    if isinstance(value, _Deferred):
+        return value.texts(value.items)
+    if isinstance(value, dict):
+        return {key: _materialized(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_materialized(item) for item in value]
+    return value
+
+
+def _plain(doc: dict) -> str:
+    """The plain lines of a materialized document, each list joined whole."""
+    lines = []
+    for key, value in doc["result"].items():
+        if isinstance(value, list) and value and isinstance(value[0], dict):
+            for entry in value:
+                lines.append(f"{key}[]: " + ", ".join(f"{k}={v}" for k, v in entry.items()))
+        elif isinstance(value, list):
+            lines.append(f"{key}: {', '.join(str(v) for v in value)}")
+        else:
+            lines.append(f"{key}: {value}")
+    if doc["witnesses"]:
+        lines.append("witness: " + ", ".join(doc["witnesses"]))
+    return "".join(line + "\n" for line in lines)
+
+
+class TestBlocks:
+    """Lists around the block size render as the whole lists would, in either mode."""
+
+    # Age sums over a composite order, so that many print reduced.
+    R = 2 * 3 * 5 * 7
+
+    @classmethod
+    def document(cls, m: int, blocks: list[int]) -> dict:
+        def recorded(texts):
+            def inner(items):
+                blocks.append(len(items))
+                return texts(items)
+
+            return inner
+
+        exps = [(i % 3, i // 3 % 4, i // 12) for i in range(m)]
+        sums = [(7 * j) % (3 * cls.R) for j in range(1, m + 1)]
+        monomials = recorded(_format_monomials)
+        names = [f"x{i}\n\u00e9" for i in range(m)]
+        result = {
+            "weight": list(range(m)),
+            "names": names,
+            "generators": _Deferred(exps, monomials),
+            "ages": _Deferred(sums, recorded(partial(_age_texts, cls.R))),
+            "charts": [{"index": 1, "map": _Deferred(exps, monomials), "order": m}],
+            "count": m,
+        }
+        # Plain lines leave out the inputs; JSON renders a tuple as a list.
+        inputs = {"names": tuple(names)}
+        return {"inputs": inputs, "result": result, "witnesses": ["x1"], "checks": []}
+
+    @pytest.mark.parametrize("m", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+    def test_matches_the_materialized_document(self, m):
+        blocks: list[int] = []
+        whole = _materialized(self.document(m, blocks))
+        pieces: list[str] = []
+        _render_json(self.document(m, blocks), "", pieces.append)
+        assert "".join(pieces) == json.dumps(whole, indent=2)
+        pieces.clear()
+        _render_human(self.document(m, blocks), pieces.append)
+        assert "".join(pieces) == _plain(whole)
+        # Three deferred lists materialized once, then formatted block by block twice.
+        formatted = blocks[3:]
+        assert sum(formatted) == 6 * m
+        assert all(0 < size <= _BLOCK for size in formatted)
+        assert len(formatted) == 6 * -(-m // _BLOCK)
+
+    def test_writes_no_piece_longer_than_a_block(self):
+        # Items are separated by a newline in JSON (names escape theirs) and
+        # by ", " in plain lines; a written piece holds at most one block.
+        doc = self.document(2 * _BLOCK + 1, [])
+        pieces: list[str] = []
+        _render_json(doc, "", pieces.append)
+        assert max(piece.count("\n") for piece in pieces) <= _BLOCK
+        pieces.clear()
+        _render_human(doc, pieces.append)
+        assert max(piece.count(", ") for piece in pieces) < _BLOCK
+
+
+class TestMemory:
+    """Long documents are written a block at a time, not held whole."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["terminal", "--r", "100003", "--twists", "1,2,3", "--json"],
+            ["ideal", "--weight", "1,1,1,1,1", "--n", "5", "--d", "30", "--json"],
+        ],
+        ids=["terminal", "ideal"],
+    )
+    def test_peak_stays_below_the_document(self, argv):
+        # The documents take 2.3 and 0.9 MB as text; whole, with their list
+        # of strings, they peaked near 13 MB.
+        _minimal_ideal.cache_clear()
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                status = main(argv)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert status == 0
+        assert peak < 8 * 2**20, peak
 
 
 _CI_IDEAL = "x1^6,x2^5,x3^4,x1^2*x4^12,x2*x3*x5^11,x1*x2*x4^3*x5^7"

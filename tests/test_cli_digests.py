@@ -4,9 +4,10 @@
 README's commands, hand-picked cases (every error code the command line
 can reach, zero tails, leading-minus polynomials, ``symbolic --gens``
 ideals that are saturated, equal though unsaturated, and not equal, and
-documents with lists of thousands of items), and a seeded draw of every subcommand in each of its modes.  Each command runs
-in-process through ``cli.main`` three times: plain, with ``--json`` and
-with ``--json --strict``.  ``cli_digests.json`` next to this file holds
+documents with lists longer than the renderers' block), and a seeded draw
+of every subcommand in each of its modes.  Each command runs in-process
+through ``cli.main`` three times: plain, with ``--json`` and with
+``--json --strict``.  ``cli_digests.json`` next to this file holds
 one SHA-256 per run, over stdout, stderr and the exit status, and the test
 names every run whose digest changed.  Only runs that reach ``main``'s
 document are swept: argparse's usage errors word themselves differently
@@ -107,8 +108,9 @@ FIXED = [
     "terminal --r 0 --twists 1,1",
     "terminal --weight 1,1",
     "push --weight 1,1 --n 2 --d -1 x1",
-    # Documents with lists of several thousand items: 8,192 ages, 10,006
-    # ages and the C(33, 3) = 5,456 generators of (1, 1, 1, 1) at d = 30.
+    # Lists that cross the renderers' block of 4,096 items: 8,192 ages
+    # (two blocks), 10,006 ages and the C(33, 3) = 5,456 generators of
+    # (1, 1, 1, 1) at d = 30.
     "terminal --r 8193 --twists 1,1,8191",
     "terminal --r 10007 --twists 1,2,3",
     "ideal --weight 1,1,1,1 --n 4 --d 30",
