@@ -131,18 +131,23 @@ def _minimal_generator_exponents(entries: tuple[int, ...], d: int) -> list[tuple
 
     With three or more positive entries the search visits the positive
     coordinates heaviest first (a stable sort by entry), writing each
-    exponent into its own slot.  It fixes all but the last two visited
-    coordinates depth first, stepping each up until the weight reaches d,
-    where it records the vector and stops.  The last two take one loop: for
-    each value of the second to last below d, the last exponent is the
-    least one reaching d, in closed form, and the value reaching d alone
-    ends the loop.  Every leaf is minimal: its last visited present
-    coordinate, the step that reached d or the closed-form one, is its
-    lightest variable, and the vector weighs below d plus that weight.
-    Every minimal vector is a leaf: dropping its last visited present
-    variable falls below d, so each proper prefix of it in visiting order
-    weighs below d and the search walks through all of them.  Each call
-    records a vector, so the cost is at most k steps per generator.  The
+    exponent into its own slot.  All but the last two visited coordinates
+    form the prefix, which one flat loop steps like an odometer, so no
+    number of entries meets the recursion limit.  Each turn first walks
+    the last two for the current prefix, whose weight is below d: for each
+    value of the second to last below d, the last exponent is the least
+    one reaching d, in closed form, and the value reaching d alone ends
+    that walk.  It then steps the last prefix coordinate up by one.  A
+    step that lifts the prefix weight to d records the vector, resets
+    that coordinate to 0 and carries to the coordinate before it; the
+    walk ends when the first coordinate carries.  Every recorded vector
+    is minimal: its last visited present coordinate, the step that
+    reached d or the closed-form one, is its lightest variable, and the
+    vector weighs below d plus that weight.  Every minimal vector is
+    recorded: dropping its last visited present variable falls below d,
+    so each proper prefix of it in visiting order weighs below d and the
+    odometer reads all of them.  Each turn records a vector and each carry
+    records one, so the cost is at most k steps per generator.  The
     vectors go into a list per degree, each sorted in descending lex order
     (one linear pass when the entries are already non-increasing, as the
     search meets them in lex order of the visited coordinates), and joined
@@ -176,42 +181,38 @@ def _minimal_generator_exponents(entries: tuple[int, ...], d: int) -> list[tuple
             out.sort(key=sum)
         return out
     order = sorted(range(k), key=entries.__getitem__, reverse=True)
-    pen, last = order[-2:]
+    *prefix, pen, last = order
     a_pen, a_last = entries[pen], entries[last]
     s = [0] * n
     # Keyed by the degrees that occur: a list per possible degree would be
     # ceil(d / a_last) lists, far more than the vectors for weights like
     # (10000, 10001, 1).
     by_degree: defaultdict[int, list[tuple[int, ...]]] = defaultdict(list)
-
-    def rec(level: int, acc: int, deg: int) -> None:
-        # acc < d is the weight of the coordinates fixed so far, deg their degree.
-        if level == k - 2:
-            t = 0
-            for weight in range(acc, d, a_pen):
-                u = -((weight - d) // a_last)
-                s[pen] = t
-                s[last] = u
-                by_degree[deg + t + u].append(tuple(s))
-                t += 1
-            s[pen] = t
-            s[last] = 0
-            by_degree[deg + t].append(tuple(s))
-            s[pen] = 0
-            return
-        i = order[level]
-        ai = entries[i]
+    acc = deg = 0  # weight (below d) and degree of the prefix coordinates
+    while True:
         t = 0
-        while acc < d:
-            s[i] = t
-            rec(level + 1, acc, deg + t)
+        for weight in range(acc, d, a_pen):
+            u = -((weight - d) // a_last)
+            s[pen] = t
+            s[last] = u
+            by_degree[deg + t + u].append(tuple(s))
             t += 1
-            acc += ai
-        s[i] = t
-        by_degree[deg + t].append(tuple(s))  # any extension loses minimality
-        s[i] = 0
-
-    rec(0, 0, 0)
+        s[pen] = t
+        s[last] = 0
+        by_degree[deg + t].append(tuple(s))
+        s[pen] = 0
+        for i in reversed(prefix):
+            s[i] += 1
+            acc += entries[i]
+            deg += 1
+            if acc < d:
+                break
+            by_degree[deg].append(tuple(s))  # any extension loses minimality
+            acc -= s[i] * entries[i]
+            deg -= s[i]
+            s[i] = 0
+        else:
+            break
     out = []
     for _, bucket in sorted(by_degree.items()):
         bucket.sort(reverse=True)
@@ -219,6 +220,11 @@ def _minimal_generator_exponents(entries: tuple[int, ...], d: int) -> list[tuple
     return out
 
 
+# Measured on the benchmark's seed 1: a membership pass asks for 167
+# distinct thresholds in 240 asks, and a normality pass for 389 in 558.  The
+# normality pass reads 169 hits and 389 misses both at 256 entries and with
+# no bound: each threshold it asks again is still held, so the bound makes
+# nothing be enumerated twice.
 @lru_cache(maxsize=256)
 def _minimal_ideal(entries: tuple[int, ...], d: int) -> MonomialIdeal:
     return _ideal_from_grlex(len(entries), _minimal_generator_exponents(entries, d))

@@ -80,6 +80,15 @@ class TestDocumentShape:
             "count": 4,
         }
 
+    def test_ideal_with_many_positive_entries(self, capsys):
+        # More positive entries than the interpreter's recursion limit.
+        k = 1200
+        weight = ",".join(["1"] * k)
+        code, doc = run(capsys, "ideal", "--weight", weight, "--n", str(k), "--d", "1", "--json")
+        assert code == 0
+        assert doc["result"]["count"] == k
+        assert doc["result"]["generators"] == [f"x{i}" for i in range(1, k + 1)]
+
     def test_every_document_has_schema_fields(self, capsys):
         code, doc = run(capsys, "charts", "--json", "--weight", "1,1,3", "--n", "4")
         assert code == 0

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import pickle
+import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
@@ -264,6 +266,29 @@ class TestWeightedIdealGens:
             assert len(exps) == 5151
             assert exps == _grlex(exps)
             assert peak < 8 * 2**20
+
+    def test_many_positive_entries_stay_off_the_recursion_limit(self):
+        # The prefix of 1,198 coordinates is walked by one loop, not a
+        # frame per coordinate.  Keep d = 1 here: I_2 would hold 720,600
+        # generators of 1,200 entries each.
+        k = 1200
+        exps = weighted_ideal_gens(Weight((1,) * k), 1).exponents
+        assert exps == tuple(tuple(int(i == j) for i in range(k)) for j in range(k))
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython", reason="counts what CPython's cyclic GC frees"
+    )
+    def test_enumerator_leaves_no_cyclic_garbage(self):
+        # Its lists are freed by reference counting when it returns, so a
+        # process that never runs the collector does not keep them.
+        gc.disable()
+        try:
+            gc.collect()
+            _minimal_generator_exponents((2, 3, 5), 60)
+            _minimal_generator_exponents((1,) * 5, 12)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize(
         "entries, d",
