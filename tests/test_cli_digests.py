@@ -3,8 +3,9 @@
 ``commands()`` builds a fixed list of ``wblowup`` argument lists: the
 README's commands, hand-picked cases (every error code the command line
 can reach, zero tails, leading-minus polynomials, ``symbolic --gens``
-ideals that are saturated, equal though unsaturated, and not equal, and
-documents with lists longer than the renderers' block), and a seeded draw
+ideals that are saturated, equal though unsaturated, and not equal,
+documents with lists longer than the renderers' block, and blow-up
+verdicts whose charts move two, three and four twists), and a seeded draw
 of every subcommand in each of its modes.  Each command runs in-process
 through ``cli.main`` three times: plain, with ``--json`` and with
 ``--json --strict``.  ``cli_digests.json`` next to this file holds
@@ -114,6 +115,13 @@ FIXED = [
     "terminal --r 8193 --twists 1,1,8191",
     "terminal --r 10007 --twists 1,2,3",
     "ideal --weight 1,1,1,1 --n 4 --d 30",
+    # Blow-up verdicts by the number of twists a chart moves: two (chart 2
+    # of (1, 2) is 1/2(1, 1, 0)), three (the family's b charts, of order
+    # 30,013 and 2,003) and four (every chart of (2, 3, 5, 7)).
+    "terminal --weight 1,2 --n 3",
+    "terminal --weight 1,1,30013,30013 --n 5",
+    "profile --n 12 --r 10 --b 2003",
+    "terminal --weight 2,3,5,7 --n 4",
 ]
 
 
