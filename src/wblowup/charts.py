@@ -16,12 +16,18 @@ its weighted degree, so ``pushforward_membership`` answers by
 
 Terminality of a cyclic quotient is decided by the Reid-Tai criterion:
 every nontrivial group element must have age strictly greater than 1,
-where the age of element j is sum_i frac(j * twist_i / order), read off
-one pass of the integer sums r * age.  ``_terminal_ages`` returns the
-verdict with those sums, not with strings, and ``_age_texts`` prints any
-slice of them as reduced fractions, so the command line formats the ages
-a block at a time as it writes them.  A ``CyclicQuotientType`` is well
-formed by construction, so the pass checks nothing.  Chart quotients are
+where the age of element j is sum_i frac(j * twist_i / order).  Only the
+moving twists, the nonzero ones, count, and ``is_terminal`` picks its
+route by their number, as its docstring proves: order 1 is terminal; at
+most two moving twists are never terminal, since j = x^-1 mod r takes
+them to 1/r(1, c), whose age is at most 1; exactly three are decided by
+the terminal lemma (Morrison-Stevens 1984) without forming an age; four
+or more walk the integer sums r * age and stop at the first that fails.
+``_terminal_ages`` returns the verdict with every sum from one pass, not
+with strings, and ``_age_texts`` prints any slice of them as reduced
+fractions, so the command line formats the ages a block at a time as it
+writes them.  A ``CyclicQuotientType`` is well formed by construction,
+so neither the lemma nor the pass checks anything.  Chart quotients are
 always well formed, so forming them never raises ``ILL_FORMED_ACTION``:
 off any coordinate but i, chart i keeps its twist 1, and off coordinate i
 the gcd is gcd(a_i, a_j : j != i) = gcd(a) = 1.
@@ -155,7 +161,9 @@ def _terminal_ages(q: CyclicQuotientType) -> tuple[bool, list[int]]:
     """The :func:`is_terminal` verdict and the integer age sums r * age, from one pass.
 
     The sums stay ints; :func:`_age_texts` turns any slice of them into the
-    printed ages.
+    printed ages.  ``terminal --r`` prints every age, so it forms all r - 1
+    sums anyway, and its verdict reads them: the terminal lemma would save
+    nothing there.
     """
     sums = list(_age_sums(q))
     return all(map(q.order.__lt__, sums)), sums
@@ -175,11 +183,35 @@ def _age_texts(r: int, sums: Sequence[int]) -> list[str]:
 def is_terminal(q: CyclicQuotientType) -> bool:
     """Reid-Tai criterion: terminal iff every age is strictly above 1.
 
-    Compares sum_i (j * twist_i mod order) > order in integers and stops at
-    the first j that fails; order 1 has no such j, so it is terminal.  The
-    quotient is well formed by construction, so no action is refused here.
+    The route depends on the moving twists, the nonzero ones; a zero twist
+    is a smooth factor and changes nothing.  The quotient is well formed by
+    construction, so no action is refused here.
+
+    - Order 1 has no nontrivial element, so it is terminal.
+    - Order r >= 2 with at most two moving twists is never terminal.  One
+      moving twist x would leave gcd r off x, so there are two, x and y,
+      each prime to r by well-formedness.  Element j = x^-1 mod r takes
+      them to 1 and some c < r, so its age (1 + c) / r is at most 1.
+    - Exactly three moving twists: the terminal lemma (Morrison-Stevens,
+      Proc. AMS 90 (1984)) says 1/r(x, y, z) is terminal iff, up to
+      permutation, x + y = 0 mod r with x and z prime to r.  Then for
+      every j, jx and -jx mod r are nonzero and add up to r, and jz mod r
+      is at least 1, so every age is above 1; the converse is their
+      theorem.  Well-formedness makes the pair's gcd check redundant:
+      with y = -x, gcd(r, x) = gcd(r, x, y), the gcd off z, which is 1.
+    - Four or more: compares sum_i (j * twist_i mod r) > r in integers and
+      stops at the first j that fails.
     """
-    return all(map(q.order.__lt__, _age_sums(q)))
+    r = q.order
+    moving = [*filter(None, q.twists)]
+    if len(moving) > 3:
+        return all(map(r.__lt__, _age_sums(q)))
+    if len(moving) < 3:
+        return r == 1
+    x, y, z = moving
+    return any(
+        (a + b) % r == 0 and math.gcd(c, r) == 1 for a, b, c in ((x, y, z), (y, z, x), (z, x, y))
+    )
 
 
 def _age_sums(q: CyclicQuotientType) -> Iterator[int]:

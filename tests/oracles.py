@@ -16,11 +16,10 @@ They are deliberately slow and simple.  ``slicing_decomposition_check``
 is a structural identity rather than a second route: it cuts a threshold
 ideal along one variable and compares both pieces with smaller thresholds.
 ``high_length_weights`` sweeps weights for the paper's classification
-instead of building the ``(1, 1, b, ..., b)`` family by hand, and
-``terminal_lemma`` decides 3-dimensional terminality by the terminal
-lemma instead of the Reid-Tai ages.  ``brute_parse_polynomial`` parses
-polynomial text by a token list and recursive descent instead of the
-compiled term pattern, with the same errors at the same positions.
+instead of building the ``(1, 1, b, ..., b)`` family by hand.
+``brute_parse_polynomial`` parses polynomial text by a token list and
+recursive descent instead of the compiled term pattern, with the same
+errors at the same positions.
 ``brute_format_monomial`` prints one monomial factor by factor,
 ``brute_ill_formed_coordinate`` takes each gcd off a coordinate in full,
 ``grlex_key`` is a per-monomial sort key for the grlex order the library
@@ -314,20 +313,6 @@ def brute_chart_ages(w: Weight) -> list[list[Fraction]]:
         twists = [1 if l == i else -a for l, a in enumerate(w.entries)]
         out.append([sum(Fraction(j * b, ai) % 1 for b in twists) for j in range(1, ai)])
     return out
-
-
-def terminal_lemma(r: int, twists: tuple[int, int, int]) -> bool:
-    """Terminality of a well-formed 3-dimensional quotient 1/r(twists).
-
-    The terminal lemma (Morrison-Stevens 1984): 1/r(a, b, c) is terminal iff,
-    up to permutation, a + b = 0 mod r with a and c prime to r, that is
-    1/r(a, -a, c), which the generator j = c^-1 mod r takes to 1/r(a', -a', 1).
-    No age is formed.
-    """
-    return any(
-        (x + y) % r == 0 and math.gcd(x, r) == 1 and math.gcd(z, r) == 1
-        for x, y, z in itertools.permutations(twists)
-    )
 
 
 _TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<var>x\d+)|(?P<op>[+\-*/^])|(?P<bad>\S)")

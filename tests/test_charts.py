@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,6 @@ from oracles import (
     brute_ill_formed_coordinate,
     brute_pushforward_membership,
     substitute_through_chart,
-    terminal_lemma,
 )
 from strategies import monomials, polynomials, weights
 from wblowup.charts import (
@@ -284,20 +284,43 @@ class TestReidTai:
         assert texts == [str(Fraction(s, r)) for s in sums]
         assert _age_texts(r, sums[start:stop]) == texts[start:stop]
 
-    def test_matches_terminal_lemma(self):
-        # The terminal lemma decides dimension 3 without forming an age.
+    def test_routes_match_integer_age_sums(self):
+        # Up to three moving twists the verdict forms no age; compare it with
+        # every integer sum r * age, for each multiset of two or three moving
+        # twists behind a zero tail of length 0-2.
         # 1/5(2,3,2) is 1/5(1,4,1) under the generator j = 3.
-        assert terminal_lemma(5, (2, 3, 2))
         assert is_terminal(CyclicQuotientType(5, (2, 3, 2)))
+        assert not is_terminal(CyclicQuotientType(7, (3, 5, 0)))
+        assert is_terminal(CyclicQuotientType(1, (0, 0, 0)))
         checked = 0
-        for r in range(2, 31):
-            for twists in itertools.combinations_with_replacement(range(r), 3):
+        for r, m, tail in itertools.product(range(2, 31), (2, 3), range(3)):
+            for moving in itertools.combinations_with_replacement(range(1, r), m):
+                twists = moving + (0,) * tail
                 if not well_formed(r, twists):
                     continue
-                q = CyclicQuotientType(r, twists)
-                assert is_terminal(q) == terminal_lemma(r, twists), (r, twists)
+                terminal = all(sum(j * b % r for b in twists) > r for j in range(1, r))
+                assert is_terminal(CyclicQuotientType(r, twists)) == terminal, (r, twists)
                 checked += 1
-        assert checked == 26003
+        assert checked == 78009
+
+    def test_age_sums_are_walked_only_past_three_moving_twists(self, monkeypatch):
+        # Count the walks of the age sums.  The family's blow-ups, whose b
+        # charts move three twists, walk none.
+        module = sys.modules["wblowup.charts"]
+        age_sums, calls = module._age_sums, []
+
+        def counted(q):
+            calls.append(q)
+            return age_sums(q)
+
+        monkeypatch.setattr(module, "_age_sums", counted)
+        for twists in [(0, 0), (1, 0, 6), (1, 6, 3, 0), (0, 2, 5, 1, 0)]:
+            is_terminal(CyclicQuotientType(7 if any(twists) else 1, twists))
+        assert is_terminal_blowup(Weight((1, 1, 2003, 2003, 0)))
+        assert calls == []
+        q = CyclicQuotientType(7, (1, 1, 1, 1))
+        assert is_terminal(q) is False
+        assert calls == [q]
 
     def test_age_boundary_is_not_terminal(self):
         # Ages equal to 1 must fail the strict inequality.

@@ -31,7 +31,6 @@ from oracles import (
     brute_power_equality,
     brute_pushforward_membership,
     grlex_key,
-    terminal_lemma,
 )
 from strategies import prime_radical_ideals
 from wblowup.charts import _age_texts
@@ -1227,15 +1226,12 @@ class TestDocumentsAgainstOracles:
     def test_terminal_weight(self, w):
         code, doc = run_json("terminal", *weight_args(w))
         assert code == 0
-        # Chart i is 1/a_i(-a_1, ..., 1, ..., -a_n), built here from the weight.
-        expected = []
-        for i, (ai, ages) in enumerate(zip(w.nonzero, brute_chart_ages(w)), start=1):
-            if w.n == 3:
-                twists = tuple(1 if j == i else -a for j, a in enumerate(w.entries, 1))
-                terminal = terminal_lemma(ai, twists)
-            else:
-                terminal = all(age > 1 for age in ages)
-            expected.append({"index": i, "order": ai, "terminal": terminal})
+        # The oracle builds chart i, 1/a_i(-a_1, ..., 1, ..., -a_n), from the
+        # weight and forms every age in fractions.
+        expected = [
+            {"index": i, "order": ai, "terminal": all(age > 1 for age in ages)}
+            for i, (ai, ages) in enumerate(zip(w.nonzero, brute_chart_ages(w)), start=1)
+        ]
         verdict = all(chart["terminal"] for chart in expected)
         assert doc["result"] == {"mode": "blowup", "terminal": verdict, "charts": expected}
 
@@ -1251,7 +1247,7 @@ class TestDocumentsAgainstOracles:
         sums = [sum(j * b % r for b in twists) for j in range(1, r)]
         assert doc["result"] == {
             "mode": "quotient",
-            "terminal": terminal_lemma(r, twists),
+            "terminal": all(s > r for s in sums),
             "ages": [str(Fraction(s, r)) for s in sums],
         }
 
