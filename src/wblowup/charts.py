@@ -188,10 +188,11 @@ def is_terminal(q: CyclicQuotientType) -> bool:
     construction, so no action is refused here.
 
     - Order 1 has no nontrivial element, so it is terminal.
-    - Order r >= 2 with at most two moving twists is never terminal.  One
-      moving twist x would leave gcd r off x, so there are two, x and y,
-      each prime to r by well-formedness.  Element j = x^-1 mod r takes
-      them to 1 and some c < r, so its age (1 + c) / r is at most 1.
+    - Order r >= 2 with at most two moving twists is never terminal.  With
+      fewer than two, the gcd off the moving twist, or off any coordinate,
+      would be r, so there are two, x and y, each prime to r by
+      well-formedness.  Element j = x^-1 mod r takes them to 1 and some
+      c < r, so its age (1 + c) / r is at most 1.
     - Exactly three moving twists: the terminal lemma (Morrison-Stevens,
       Proc. AMS 90 (1984)) says 1/r(x, y, z) is terminal iff, up to
       permutation, x + y = 0 mod r with x and z prime to r.  Then for
